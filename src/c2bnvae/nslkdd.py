@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -132,12 +133,16 @@ def parse_records(stream: Iterable[str]) -> Iterator[RawRecord]:
         for i in range(len(FEATURE_NAMES)):
             if i in categorical:
                 values.append(fields[i])
-            else:
-                try:
-                    values.append(float(fields[i]))
-                except ValueError:
-                    raise DataError(f"line {lineno}: field {FEATURE_NAMES[i]!r} "
-                                    f"is not numeric: {fields[i]!r}") from None
+                continue
+            try:
+                value = float(fields[i])
+            except ValueError:
+                raise DataError(f"line {lineno}: field {FEATURE_NAMES[i]!r} "
+                                f"is not numeric: {fields[i]!r}") from None
+            if not math.isfinite(value):  # float() accepts nan, inf and 1e999
+                raise DataError(f"line {lineno}: field {FEATURE_NAMES[i]!r} "
+                                f"is not finite: {fields[i]!r}")
+            values.append(value)
         try:
             difficulty = int(fields[-1])
         except ValueError:
@@ -206,10 +211,16 @@ class EncodingSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncodingSchema":
-        return cls(vocabularies={k: tuple(v) for k, v in d["vocabularies"].items()},
-                   numeric_min=dict(d["numeric_min"]),
-                   numeric_max=dict(d["numeric_max"]),
-                   pad_to=d.get("pad_to"))
+        try:
+            return cls(vocabularies={k: tuple(v) for k, v in d["vocabularies"].items()},
+                       numeric_min=dict(d["numeric_min"]),
+                       numeric_max=dict(d["numeric_max"]),
+                       pad_to=d.get("pad_to"))
+        except DataError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise DataError(f"malformed encoding schema: "
+                            f"{type(exc).__name__}: {exc}") from None
 
     @property
     def fingerprint(self) -> str:
@@ -363,6 +374,27 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _parse_header(raw, what: str) -> dict:
+    try:
+        header = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{what} is not a JSON object")
+    if "schema" not in header:
+        raise DataError(f"{what} lacks the 'schema' key")
+    return header
+
+
+def _checked(features: Array, labels: Array, schema: EncodingSchema,
+             path: Path) -> EncodedDataset:
+    if labels.size and labels.min() < 0:
+        raise DataError(f"{path}: labels must be nonnegative, got {int(labels.min())}")
+    if not np.all(np.isfinite(features)):
+        raise DataError(f"{path}: features must be finite (no NaN or infinity)")
+    return EncodedDataset(features=features, labels=labels, schema=schema)
+
+
 def load_dataset(path) -> EncodedDataset:
     path = Path(path)
     with open(path, "rb") as fh:
@@ -372,35 +404,54 @@ def load_dataset(path) -> EncodedDataset:
             if version != DATASET_FORMAT_VERSION:
                 raise DataError(f"unsupported dataset format version {version}")
             (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-            header = json.loads(_read_exact(fh, head_len, "header"))
+            header = _parse_header(_read_exact(fh, head_len, "header"),
+                                   f"{path}: dataset header")
             schema = EncodingSchema.from_dict(header["schema"])
+            n, d = header.get("n"), header.get("feature_dim")
+            for key, value in (("n", n), ("feature_dim", d)):
+                if type(value) is not int or value < 0:
+                    raise DataError(f"{path}: dataset header needs a nonnegative "
+                                    f"integer {key!r}, got {value!r}")
             (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, "labels length"))
             labels = np.frombuffer(_read_exact(fh, nbytes, "labels"), dtype="<i8")
             (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, "features length"))
             feats = np.frombuffer(_read_exact(fh, nbytes, "features"), dtype="<f8")
-            n, d = header["n"], header["feature_dim"]
             if labels.size != n or feats.size != n * d:
                 raise DataError("dataset blocks do not match the header dimensions")
-            return EncodedDataset(features=feats.reshape(n, d).copy(),
-                                  labels=labels.astype(np.int64), schema=schema)
+            return _checked(feats.reshape(n, d).copy(), labels.astype(np.int64),
+                            schema, path)
     # fall back to CSV
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
-        meta = json.loads(first[2:])
-        schema = EncodingSchema.from_dict(meta["schema"])
-        reader = csv.reader(fh)
-        next(reader)  # column header
-        labels_list, rows = [], []
-        for row in reader:
+    try:
+        with open(path) as fh:
+            return _load_csv(fh, path)
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is neither a binary dataset nor a text CSV") from None
+
+
+def _load_csv(fh, path: Path) -> EncodedDataset:
+    first = fh.readline()
+    if not first.startswith("# "):
+        raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
+    meta = _parse_header(first[2:], f"{path}: CSV comment header")
+    schema = EncodingSchema.from_dict(meta["schema"])
+    reader = csv.reader(fh)
+    if next(reader, None) is None:
+        raise DataError(f"{path}: CSV has no column header line")
+    width = schema.feature_dim + 1
+    labels_list, rows = [], []
+    for lineno, row in enumerate(reader, start=3):
+        if len(row) != width:
+            raise DataError(f"{path} line {lineno}: expected {width} fields, "
+                            f"got {len(row)}")
+        try:
             labels_list.append(int(row[0]))
             rows.append([float(v) for v in row[1:]])
-        features = (np.array(rows) if rows
-                    else np.zeros((0, schema.feature_dim)))
-        return EncodedDataset(features=features,
-                              labels=np.array(labels_list, dtype=np.int64),
-                              schema=schema)
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: the label or a feature is "
+                            f"not a number") from None
+    features = (np.array(rows) if rows
+                else np.zeros((0, schema.feature_dim)))
+    return _checked(features, np.array(labels_list, dtype=np.int64), schema, path)
 
 
 def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> None:

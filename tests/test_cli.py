@@ -49,15 +49,29 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path), "--taxonomy", "/nope/tax.csv"])
         assert rc == EXIT_DATA
 
+    def test_non_finite_raw_field_is_two(self, corpus_files, tmp_path, capsys):
+        train, test = corpus_files
+        lines = train.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[4] = "nan"  # src_bytes
+        lines[1] = ",".join(fields)
+        bad_train = tmp_path / "train_nan.txt"
+        bad_train.write_text("\n".join(lines) + "\n")
+        rc = main(["preprocess", "--train", str(bad_train), "--test", str(test),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "line 2" in capsys.readouterr().err
+
     def test_nan_training_is_three(self, preprocessed, tmp_path, monkeypatch):
-        # poison one encoded feature so the first loss is non-finite
+        # poison one encoded feature so the first loss is non-finite; the
+        # value is finite, because the loader rejects NaN and infinity
         from c2bnvae.nslkdd import load_dataset, save_dataset
 
         out = tmp_path / "poisoned"
         out.mkdir()
         (out / "encoded").mkdir()
         train_set = load_dataset(preprocessed / "encoded" / "train.c2ds")
-        train_set.features[0, 0] = np.nan
+        train_set.features[0, 0] = 1e300
         save_dataset(train_set, out / "encoded" / "train.c2ds", fmt="binary")
         test_set = load_dataset(preprocessed / "encoded" / "test.c2ds")
         save_dataset(test_set, out / "encoded" / "test.c2ds", fmt="binary")

@@ -125,6 +125,16 @@ class TestFit:
         with pytest.raises(DataError):
             fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="nonnegative"):
+            fit(np.array([[0.0], [1.0]]), np.array([0, -1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        features = np.array([[0.0], [bad], [1.0], [2.0]])
+        with pytest.raises(DataError, match="finite"):
+            fit(features, np.array([0, 1, 0, 1]))
+
     def test_leaf_tie_predicts_lowest_class(self):
         features = np.array([[1.0], [1.0]])
         labels = np.array([0, 1])  # inseparable: single leaf with a tie
@@ -147,6 +157,17 @@ class TestPredict:
         tree = fit(features, labels)
         assert tree.threshold == 0.5
         assert predict(tree, np.array([[0.5]]))[0] == 0
+
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        (1e308, 1.7e308),
+        (-1.7e308, -1e308),
+    ], ids=["midpoint_rounds_up", "sum_overflows", "sum_overflows_negative"])
+    def test_threshold_stays_below_upper_value(self, lower, upper):
+        features = np.array([[lower], [upper]])
+        tree = fit(features, np.array([0, 1]))
+        assert lower <= tree.threshold < upper
+        assert predict(tree, features).tolist() == [0, 1]
 
     def test_width_mismatch_rejected(self):
         tree = fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]))

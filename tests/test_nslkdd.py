@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from c2bnvae.errors import DataError, LabelError
-from c2bnvae.nslkdd import (CATEGORY_NAMES, EncodedDataset, EncodingSchema,
+from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMAT_VERSION, DATASET_MAGIC,
+                            EncodedDataset, EncodingSchema,
                             class_counts, default_taxonomy, fit_schema,
                             inverse_transform, load_dataset, load_schema,
                             load_taxonomy, map_attack, parse_records,
@@ -52,6 +56,19 @@ class TestParse:
         fields[0] = "oops"
         with pytest.raises(DataError, match="duration"):
             list(parse_records(",".join(fields)))
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_numeric_field_names_line(self, text):
+        good = ["0", "tcp", "http", "SF"] + ["0"] * 37 + ["normal", "5"]
+        bad = list(good)
+        bad[4] = text  # src_bytes
+        with pytest.raises(DataError, match="line 2: field 'src_bytes' is not finite"):
+            list(parse_records(",".join(good) + "\n" + ",".join(bad)))
+
+    def test_huge_finite_fields_parse(self):
+        fields = ["0", "tcp", "http", "SF"] + ["1e308"] * 37 + ["normal", "5"]
+        (record,) = parse_records(",".join(fields))
+        assert record.features[4] == 1e308
 
     def test_difficulty_must_be_integer(self):
         fields = ["0", "tcp", "http", "SF"] + ["0"] * 37 + ["normal", "x"]
@@ -255,3 +272,148 @@ class TestDatasetIO:
         _, _, encoded = fitted
         with pytest.raises(DataError):
             save_dataset(encoded, tmp_path / "x", fmt="parquet")
+
+
+def write_binary(path, header, labels, features):
+    """A binary dataset file laid out as save_dataset writes one."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    labels_raw = np.asarray(labels, dtype="<i8").tobytes()
+    feats_raw = np.asarray(features, dtype="<f8").tobytes()
+    path.write_bytes(DATASET_MAGIC + struct.pack("<I", DATASET_FORMAT_VERSION)
+                     + struct.pack("<Q", len(head)) + head
+                     + struct.pack("<Q", len(labels_raw)) + labels_raw
+                     + struct.pack("<Q", len(feats_raw)) + feats_raw)
+
+
+class TestMalformedDatasets:
+    """Every malformed dataset file ends as a DataError, never a raw error."""
+
+    @pytest.fixture
+    def small(self, fitted):
+        _, _, encoded = fitted
+        return EncodedDataset(features=encoded.features[:4],
+                              labels=encoded.labels[:4], schema=encoded.schema)
+
+    @pytest.fixture
+    def csv_lines(self, small, tmp_path):
+        path = tmp_path / "small.csv"
+        save_dataset(small, path, fmt="csv")
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def binary(self, small, tmp_path, header_edit=None, labels=None, features=None):
+        header = {"format_version": DATASET_FORMAT_VERSION, "n": len(small),
+                  "feature_dim": small.schema.feature_dim,
+                  "schema": small.schema.to_dict(), "manifest": {}}
+        if header_edit is not None:
+            header = header_edit(header)
+        path = tmp_path / "small.c2ds"
+        write_binary(path, header,
+                     small.labels if labels is None else labels,
+                     small.features if features is None else features)
+        return path
+
+    def test_helper_writes_a_loadable_file(self, small, tmp_path):
+        loaded = load_dataset(self.binary(small, tmp_path))
+        assert np.array_equal(loaded.features, small.features)
+        assert np.array_equal(loaded.labels, small.labels)
+
+    def test_csv_bad_label(self, csv_lines):
+        path, lines = csv_lines
+        lines[3] = "x" + lines[3][lines[3].index(","):]
+        with pytest.raises(DataError, match="line 4"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_bad_value(self, csv_lines):
+        path, lines = csv_lines
+        lines[2] = lines[2] + "oops"  # glued onto the last value
+        with pytest.raises(DataError, match="line 3"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_wrong_field_count(self, csv_lines):
+        path, lines = csv_lines
+        lines[2] = lines[2] + ",0.5"
+        with pytest.raises(DataError, match="line 3: expected"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_negative_label(self, csv_lines):
+        path, lines = csv_lines
+        lines[2] = "-1" + lines[2][lines[2].index(","):]
+        with pytest.raises(DataError, match="nonnegative"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_non_finite_feature(self, csv_lines):
+        path, lines = csv_lines
+        lines[2] = lines[2][:lines[2].rindex(",")] + ",nan"
+        with pytest.raises(DataError, match="finite"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_bad_json_header(self, csv_lines):
+        path, lines = csv_lines
+        lines[0] = '# {"schema": '
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_dataset(self.rewrite(path, lines))
+
+    @pytest.mark.parametrize("header", ['# {"schema": {}}', "# {}", "# [1, 2]",
+                                        '# {"schema": {"vocabularies": [],'
+                                        ' "numeric_min": {}, "numeric_max": {}}}'])
+    def test_csv_header_lacking_schema_keys(self, csv_lines, header):
+        path, lines = csv_lines
+        lines[0] = header
+        with pytest.raises(DataError, match="schema|JSON object"):
+            load_dataset(self.rewrite(path, lines))
+
+    def test_csv_without_column_header(self, csv_lines):
+        path, lines = csv_lines
+        with pytest.raises(DataError, match="column header"):
+            load_dataset(self.rewrite(path, lines[:1]))
+
+    def test_not_utf8_text(self, tmp_path):
+        path = tmp_path / "junk.csv"
+        path.write_bytes(b"# \xff\xfe{}\n")
+        with pytest.raises(DataError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["n", "feature_dim"])
+    def test_binary_header_missing_dimension(self, small, tmp_path, key):
+        def drop(header):
+            del header[key]
+            return header
+        with pytest.raises(DataError, match=key):
+            load_dataset(self.binary(small, tmp_path, header_edit=drop))
+
+    def test_binary_header_non_integer_dimension(self, small, tmp_path):
+        def stringify(header):
+            header["n"] = "4"
+            return header
+        with pytest.raises(DataError, match="'n'"):
+            load_dataset(self.binary(small, tmp_path, header_edit=stringify))
+
+    def test_binary_bad_json_header(self, small, tmp_path):
+        path = tmp_path / "small.c2ds"
+        write_binary(path, b'{"n": 4,', small.labels, small.features)
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_dataset(path)
+
+    def test_binary_header_lacking_schema_keys(self, small, tmp_path):
+        def gut(header):
+            header["schema"] = {}
+            return header
+        with pytest.raises(DataError, match="schema"):
+            load_dataset(self.binary(small, tmp_path, header_edit=gut))
+
+    def test_binary_negative_label(self, small, tmp_path):
+        labels = small.labels.copy()
+        labels[1] = -3
+        with pytest.raises(DataError, match="nonnegative"):
+            load_dataset(self.binary(small, tmp_path, labels=labels))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_binary_non_finite_feature(self, small, tmp_path, bad):
+        features = small.features.copy()
+        features[2, 5] = bad
+        with pytest.raises(DataError, match="finite"):
+            load_dataset(self.binary(small, tmp_path, features=features))
