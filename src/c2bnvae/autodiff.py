@@ -8,6 +8,11 @@ tensor created with ``requires_grad=True``.
 
 Everything is float64: the gradient-check suite compares against central
 finite differences at tight tolerances, which single precision cannot meet.
+
+Training does not run on the tape. The layers' explicit backward passes
+(``nn``, ``losses``, ``C2BNVAE.backward``) compute the gradients, and
+``tests/model_reference.py`` composes the same step from ``Tensor``s as
+their oracle.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, DataError
 from .model import CHECKPOINT_FORMAT_VERSION, Checkpoint, ModelConfig
 
 MAGIC = b"C2BN"
@@ -65,6 +65,22 @@ def _read_exact(buf, n: int, what: str) -> bytes:
     return data
 
 
+def _block_entries(header: dict, key: str) -> list[tuple[str, tuple[int, ...]]]:
+    """The ``[{"name": str, "shape": [int >= 0, ...]}, ...]`` list under ``key``."""
+    entries = header.get(key)
+    if not isinstance(entries, list):
+        raise CheckpointError(f"checkpoint header {key!r} must be a list, got {entries!r}")
+    out = []
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+                        for d in entry["shape"])):
+            raise CheckpointError(f"checkpoint header {key!r} has a malformed entry {entry!r}")
+        out.append((entry["name"], tuple(entry["shape"])))
+    return out
+
+
 def load_checkpoint(source) -> Checkpoint:
     """Read from a path, bytes, or binary file object."""
     if isinstance(source, (str, Path)):
@@ -83,25 +99,37 @@ def load_checkpoint(source) -> Checkpoint:
     (head_len,) = struct.unpack("<Q", _read_exact(buf, 8, "header length"))
     try:
         header = json.loads(_read_exact(buf, head_len, "header"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    config = ModelConfig.from_dict(header["config"])
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    fingerprint = header.get("schema_fingerprint")
+    if not isinstance(fingerprint, str) or not fingerprint:
+        raise CheckpointError("checkpoint header lacks a schema_fingerprint string")
+    if "config" not in header:
+        raise CheckpointError("checkpoint header lacks a config")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except DataError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    param_entries = _block_entries(header, "params")
+    stat_entries = _block_entries(header, "stats")
 
     def read_blocks(entries) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for entry in entries:
+        for name, shape in entries:
             (nbytes,) = struct.unpack("<Q", _read_exact(buf, 8, "block length"))
-            raw = _read_exact(buf, nbytes, f"block {entry['name']}")
+            raw = _read_exact(buf, nbytes, f"block {name}")
+            if nbytes % 8:
+                raise CheckpointError(f"block {name} is {nbytes} bytes, not whole float64s")
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            shape = tuple(entry["shape"])
             if arr.size != int(np.prod(shape)):
-                raise CheckpointError(f"block {entry['name']} holds {arr.size} values, "
+                raise CheckpointError(f"block {name} holds {arr.size} values, "
                                       f"expected shape {shape}")
-            out[entry["name"]] = arr.reshape(shape)
+            out[name] = arr.reshape(shape)
         return out
 
-    params = read_blocks(header["params"])
-    stats = read_blocks(header["stats"])
+    params = read_blocks(param_entries)
+    stats = read_blocks(stat_entries)
     return Checkpoint(config=config, params=params, stats=stats,
-                      schema_fingerprint=header["schema_fingerprint"],
-                      format_version=version)
+                      schema_fingerprint=fingerprint, format_version=version)

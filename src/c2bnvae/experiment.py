@@ -448,9 +448,18 @@ def load_reports(results_dir) -> list[tuple[str, EvalReport | str]]:
         path = results_dir / f"{_slug(name)}.json"
         if not path.exists():
             continue
-        payload = json.loads(path.read_text())
-        cm = np.array(payload["confusion_matrix"])
-        rows.append((name, EvalReport.from_confusion(payload["algorithm"], cm)))
+        try:
+            payload = json.loads(path.read_text())
+            algorithm, cm = payload["algorithm"], np.array(payload["confusion_matrix"])
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+            raise DataError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
+        if not isinstance(algorithm, str):
+            raise DataError(f"report {path}: algorithm must be a string")
+        if (cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.size == 0
+                or not np.issubdtype(cm.dtype, np.integer) or np.any(cm < 0)):
+            raise DataError(f"report {path}: confusion_matrix must be a square matrix "
+                            f"of nonnegative integers")
+        rows.append((name, EvalReport.from_confusion(algorithm, cm)))
     if not rows:
         raise DataError(f"no report files found under {results_dir}")
     return rows

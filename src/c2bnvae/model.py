@@ -17,16 +17,17 @@ matching min-max scaled features.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat
 from .costing import LinearSpec, NormSpec
 from .errors import DataError, LabelError, ShapeError, TrainingDiverged
-from .losses import LOGVAR_MAX, LOGVAR_MIN, kl_gaussian, mse_loss
-from .nn import BatchNorm1d, CondBatchNorm1d, Linear, leaky_relu, one_hot
+from .losses import (LOGVAR_MAX, LOGVAR_MIN, kl_gaussian, kl_gaussian_grad, mse_loss,
+                     mse_loss_grad)
+from .nn import (BatchNorm1d, CondBatchNorm1d, Linear, check_labels, flatten_parameters,
+                 leaky_relu, leaky_relu_grad, one_hot, sigmoid, sigmoid_grad)
 from .optim import Adam
 
 Array = np.ndarray
@@ -34,6 +35,20 @@ Array = np.ndarray
 CHECKPOINT_FORMAT_VERSION = 1
 
 CBN_PLACEMENTS = ("decoder_only", "encoder_and_decoder")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# checks for the JSON value of each ModelConfig field, by annotation
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(_is_int(w) for w in v),
+}
 
 
 @dataclass(frozen=True)
@@ -110,9 +125,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; raises DataError for a key that is unknown,
+        missing or ill-typed, and for a value the constructor rejects."""
+        if not isinstance(d, dict):
+            raise DataError(f"model config must be a JSON object, got {type(d).__name__}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(d) - set(kinds))
+        if unknown:
+            raise DataError(f"unknown model config keys {unknown}")
+        for name, value in d.items():
+            if not _FIELD_CHECKS[kinds[name]](value):
+                raise DataError(f"model config {name} has ill-typed value {value!r}")
         d = dict(d)
-        d["hidden_widths"] = tuple(d.get("hidden_widths", (60, 60, 60, 60)))
-        return cls(**d)
+        if "hidden_widths" in d:
+            d["hidden_widths"] = tuple(d["hidden_widths"])
+        try:
+            return cls(**d)
+        except (TypeError, ShapeError) as exc:  # a required key is missing, or a bad value
+            raise DataError(f"bad model config: {exc}") from exc
 
 
 @dataclass
@@ -144,6 +174,15 @@ def _derive_rngs(seed: int) -> tuple[np.random.Generator, ...]:
 
 
 class C2BNVAE:
+    """The generator: encoder, reparameterization and decoder.
+
+    All parameters live in one contiguous vector ``params``, and every
+    layer's weights are views of it; ``backward`` writes the matching views
+    of ``grads``, so one ``Adam`` update over the two vectors trains every
+    layer. Labels must lie in [0, num_classes): ``train`` and ``generate``
+    check them once per call (``nn.check_labels``), not on every forward.
+    """
+
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = _derive_rngs(config.seed)[0]
@@ -166,6 +205,13 @@ class C2BNVAE:
         self.dec_linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
         self.dec_norm = norm_layer(widths[-1])
         self.out_layer = Linear(widths[-1], config.feature_dim, rng)
+        self.params, self.grads = flatten_parameters(
+            [layer for _, layer in self._named_layers()])
+        # what backward needs from the last forward: hidden pre-activations
+        # and which raw log-variances lay inside the clip range
+        self._enc_pre: list[Array] = []
+        self._dec_pre: list[Array] = []
+        self._logvar_kept: Array | None = None
 
     # ------------------------------------------------------------------
     def _named_layers(self) -> list[tuple[str, object]]:
@@ -178,14 +224,9 @@ class C2BNVAE:
         named += [("dec.norm", self.dec_norm), ("dec.out", self.out_layer)]
         return named
 
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for _, layer in self._named_layers():
-            out.extend(layer.parameters())
-        return out
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def named_parameters(self) -> dict[str, Array]:
+        """Views of ``params``, one per layer parameter."""
+        out: dict[str, Array] = {}
         for name, layer in self._named_layers():
             if isinstance(layer, Linear):
                 out[f"{name}.W"] = layer.weights
@@ -204,56 +245,91 @@ class C2BNVAE:
         return out
 
     # ------------------------------------------------------------------
-    def _check_labels(self, labels: Array, batch: int) -> Array:
+    @staticmethod
+    def _inputs(x, labels, width: int, what: str) -> tuple[Array, Array]:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ShapeError(f"{what} [b x {width}], got {x.shape}")
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (batch,):
-            raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.config.num_classes):
-            raise LabelError(f"labels must lie in [0, {self.config.num_classes})")
-        return labels
+        if labels.shape != (x.shape[0],):
+            raise ShapeError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
+        return x, labels
 
-    def encode(self, x, labels: Array, training: bool = False) -> tuple[Tensor, Tensor]:
-        t = as_tensor(x)
-        if t.data.ndim != 2 or t.data.shape[1] != self.config.feature_dim:
-            raise ShapeError(f"encoder expects [b x {self.config.feature_dim}] features, "
-                             f"got {t.data.shape}")
-        labels = self._check_labels(labels, t.data.shape[0])
-        h = concat([t, Tensor(one_hot(labels, self.config.num_classes))], axis=1)
-        for lin in self.enc_linears:
-            h = leaky_relu(lin(h), self.config.leaky_slope)
-        if self.enc_norm is not None:
-            h = self._apply_norm(self.enc_norm, h, labels, training)
-        mu = self.mu_head(h)
-        logvar = self.logvar_head(h).clip(LOGVAR_MIN, LOGVAR_MAX)
-        return mu, logvar
+    def _hidden(self, linears: list[Linear], h: Array) -> tuple[Array, list[Array]]:
+        pre = []
+        for lin in linears:
+            pre.append(lin(h))
+            h = leaky_relu(pre[-1], self.config.leaky_slope)
+        return h, pre
 
-    def decode(self, z, labels: Array, training: bool = False) -> Tensor:
-        t = as_tensor(z)
-        if t.data.ndim != 2 or t.data.shape[1] != self.config.latent_dim:
-            raise ShapeError(f"decoder expects [b x {self.config.latent_dim}] latents, "
-                             f"got {t.data.shape}")
-        labels = self._check_labels(labels, t.data.shape[0])
-        h = concat([t, Tensor(one_hot(labels, self.config.num_classes))], axis=1)
-        for lin in self.dec_linears:
-            h = leaky_relu(lin(h), self.config.leaky_slope)
-        h = self._apply_norm(self.dec_norm, h, labels, training)
-        return self.out_layer(h).sigmoid()
+    def _hidden_backward(self, linears: list[Linear], pre: list[Array], g: Array,
+                         input_grad: bool) -> Array | None:
+        slope = self.config.leaky_slope
+        for i in range(len(linears) - 1, -1, -1):
+            g = linears[i].backward(leaky_relu_grad(g, pre[i], slope),
+                                    input_grad=input_grad or i > 0)
+        return g
 
     @staticmethod
-    def _apply_norm(layer, h: Tensor, labels: Array, training: bool) -> Tensor:
+    def _apply_norm(layer, h: Array, labels: Array, training: bool) -> Array:
         if isinstance(layer, BatchNorm1d):
             return layer(h, training)
         return layer(h, labels, training)
 
-    def loss(self, x, x_hat, mu, logvar) -> tuple[Tensor, Tensor, Tensor]:
+    def encode(self, x, labels: Array, training: bool = False) -> tuple[Array, Array]:
+        """Posterior mean and clipped log-variance of each row."""
+        x, labels = self._inputs(x, labels, self.config.feature_dim,
+                                 "encoder expects features")
+        h = np.concatenate([x, one_hot(labels, self.config.num_classes)], axis=1)
+        h, self._enc_pre = self._hidden(self.enc_linears, h)
+        if self.enc_norm is not None:
+            h = self._apply_norm(self.enc_norm, h, labels, training)
+        mu = self.mu_head(h)
+        raw = self.logvar_head(h)
+        self._logvar_kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
+        return mu, np.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
+
+    def decode(self, z, labels: Array, training: bool = False) -> Array:
+        """Reconstructed features in (0, 1) for latent codes ``z``."""
+        z, labels = self._inputs(z, labels, self.config.latent_dim,
+                                 "decoder expects latents")
+        h = np.concatenate([z, one_hot(labels, self.config.num_classes)], axis=1)
+        h, self._dec_pre = self._hidden(self.dec_linears, h)
+        h = self._apply_norm(self.dec_norm, h, labels, training)
+        return sigmoid(self.out_layer(h))
+
+    def loss(self, x, x_hat, mu, logvar) -> tuple[float, float, float]:
         recon = mse_loss(x, x_hat)
         regu = kl_gaussian(mu, logvar)
         total = recon + self.config.kl_weight * regu
         return total, recon, regu
 
+    def backward(self, x: Array, x_hat: Array, mu: Array, logvar: Array,
+                 sigma: Array, noise: Array) -> None:
+        """Write into ``grads`` the gradient of ``loss(x, x_hat, mu, logvar)``.
+
+        ``mu`` and ``logvar`` come from the last training ``encode``, and
+        ``x_hat`` from the last training ``decode`` of ``mu + sigma * noise``
+        (``reparameterize_t``).
+        """
+        g = sigmoid_grad(mse_loss_grad(x, x_hat), x_hat)
+        g = self.dec_norm.backward(self.out_layer.backward(g))
+        g_z = self._hidden_backward(self.dec_linears, self._dec_pre, g,
+                                    input_grad=True)[:, :self.config.latent_dim]
+        g_mu, g_logvar = kl_gaussian_grad(mu, logvar, self.config.kl_weight)
+        g_mu = g_mu + g_z
+        # logvar is already clipped, so the clip inside reparameterize_t
+        # passes every gradient through unchanged
+        g_logvar = g_logvar + g_z * noise * sigma * 0.5
+        g = (self.mu_head.backward(g_mu)
+             + self.logvar_head.backward(g_logvar * self._logvar_kept))
+        if self.enc_norm is not None:
+            g = self.enc_norm.backward(g)
+        self._hidden_backward(self.enc_linears, self._enc_pre, g, input_grad=False)
+
     # ------------------------------------------------------------------
     def to_checkpoint(self, schema_fingerprint: str) -> Checkpoint:
-        params = {k: v.data.copy() for k, v in self.named_parameters().items()}
+        params = {k: v.copy() for k, v in self.named_parameters().items()}
         stats = {k: v.copy() for k, v in self.named_stats().items()}
         return Checkpoint(config=self.config, params=params, stats=stats,
                           schema_fingerprint=schema_fingerprint)
@@ -264,12 +340,12 @@ class C2BNVAE:
         named = model.named_parameters()
         if set(named) != set(ckpt.params):
             raise DataError("checkpoint parameters do not match the configured architecture")
-        for name, tensor in named.items():
+        for name, view in named.items():
             value = np.asarray(ckpt.params[name], dtype=np.float64)
-            if value.shape != tensor.data.shape:
+            if value.shape != view.shape:
                 raise DataError(f"checkpoint parameter {name} has shape {value.shape}, "
-                                f"expected {tensor.data.shape}")
-            tensor.data = value.copy()
+                                f"expected {view.shape}")
+            view[...] = value  # write into the flat buffer; rebinding would detach it
         if set(model.named_stats()) != set(ckpt.stats):
             raise DataError("checkpoint statistics do not match the configured architecture")
         for layer_name, layer in model._named_layers():
@@ -284,17 +360,17 @@ class C2BNVAE:
         return model
 
 
-def reparameterize_t(mu: Tensor, logvar: Tensor, rng: np.random.Generator) -> Tensor:
-    """z = mu + exp(logvar / 2) * standard normal noise, on the tape."""
-    if mu.data.shape != logvar.data.shape:
-        raise ShapeError(f"reparameterize shape mismatch: {mu.data.shape} vs {logvar.data.shape}")
-    sigma = (logvar.clip(LOGVAR_MIN, LOGVAR_MAX) * 0.5).exp()
-    noise = rng.standard_normal(mu.data.shape)
-    return mu + sigma * Tensor(noise)
+def reparameterize_t(mu: Array, logvar: Array,
+                     rng: np.random.Generator) -> tuple[Array, Array, Array]:
+    """z = mu + exp(logvar / 2) * standard normal noise.
 
-
-def reparameterize(mu: Array, logvar: Array, rng: np.random.Generator) -> Array:
-    return reparameterize_t(as_tensor(mu), as_tensor(logvar), rng).data
+    Returns ``(z, sigma, noise)``; ``C2BNVAE.backward`` needs the last two.
+    """
+    if mu.shape != logvar.shape:
+        raise ShapeError(f"reparameterize shape mismatch: {mu.shape} vs {logvar.shape}")
+    sigma = np.exp(np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX) * 0.5)
+    noise = rng.standard_normal(mu.shape)
+    return mu + sigma * noise, sigma, noise
 
 
 def fallback_fingerprint(config: ModelConfig) -> str:
@@ -321,8 +397,9 @@ def train(dataset, config: ModelConfig,
     if features.ndim != 2 or features.shape[1] != config.feature_dim:
         raise ShapeError(f"dataset features are {features.shape}, "
                          f"expected [n x {config.feature_dim}]")
-    if labels.min() < 0 or labels.max() >= config.num_classes:
-        raise LabelError(f"dataset labels must lie in [0, {config.num_classes})")
+    labels = check_labels(labels, config.num_classes)
+    if labels.size != n:
+        raise DataError(f"dataset has {n} feature rows but {labels.size} labels")
 
     if schema_fingerprint is None:
         schema = getattr(dataset, "schema", None)
@@ -331,7 +408,7 @@ def train(dataset, config: ModelConfig,
 
     model = C2BNVAE(config)
     _, shuffle_rng, noise_rng = _derive_rngs(config.seed)
-    optimizer = Adam(model.parameters(), lr=config.lr)
+    optimizer = Adam(model.params, model.grads, lr=config.lr)
     trace: list[TraceRow] = []
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -341,19 +418,18 @@ def train(dataset, config: ModelConfig,
             idx = perm[start:start + config.batch_size]
             if idx.size < 2:
                 continue  # a singleton batch has undefined batch variance
-            xb = Tensor(features[idx])
+            xb = features[idx]
             yb = labels[idx]
             mu, logvar = model.encode(xb, yb, training=True)
-            z = reparameterize_t(mu, logvar, noise_rng)
+            z, sigma, noise = reparameterize_t(mu, logvar, noise_rng)
             x_hat = model.decode(z, yb, training=True)
             total, recon, regu = model.loss(xb, x_hat, mu, logvar)
-            if not np.isfinite(total.data):
+            if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}")
-            optimizer.zero_grad()
-            total.backward()
+            model.backward(xb, x_hat, mu, logvar, sigma, noise)
             optimizer.step()
-            sums += idx.size * np.array([recon.item(), regu.item(), total.item()])
+            sums += idx.size * np.array([recon, regu, total])
             seen += idx.size
         if seen == 0:
             raise DataError("every batch was skipped; increase the dataset size")
@@ -372,15 +448,5 @@ def generate(label: int, n: int, checkpoint: Checkpoint,
     model = C2BNVAE.from_checkpoint(checkpoint)
     z = rng.standard_normal((n, config.latent_dim))
     labels = np.full(n, label, dtype=np.int64)
-    return model.decode(z, labels, training=False).data
+    return model.decode(z, labels, training=False)
 
-
-def encode_arrays(x: Array, labels: Array, model: C2BNVAE,
-                  training: bool = False) -> tuple[Array, Array]:
-    mu, logvar = model.encode(np.asarray(x, dtype=np.float64), labels, training)
-    return mu.data, logvar.data
-
-
-def decode_arrays(z: Array, labels: Array, model: C2BNVAE,
-                  training: bool = False) -> Array:
-    return model.decode(np.asarray(z, dtype=np.float64), labels, training).data

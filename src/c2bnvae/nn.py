@@ -1,15 +1,18 @@
 """Dense layers, activations and (conditional) batch normalization.
 
-Layers operate on autodiff ``Tensor``s so a single forward pass records the
-whole tape; the ``*_forward`` module functions are array-in/array-out
-conveniences over the same code paths.
+Every layer works on plain float64 arrays. A forward call keeps what the
+backward pass needs, and ``backward(g)`` takes the loss gradient with
+respect to the layer's output, writes the gradients of the layer's
+parameters into its ``grad_*`` arrays and returns the gradient with respect
+to its input. Each expression repeats, operation for operation, the
+autodiff tape's composition of the same layer (``tests/model_reference.py``),
+so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
 from .errors import LabelError, ShapeError
 
 Array = np.ndarray
@@ -22,57 +25,103 @@ def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> Ar
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def leaky_relu(x, slope: float = 0.01):
+def leaky_relu(x: Array, slope: float = 0.01) -> Array:
     """Elementwise max(x, slope*x); subgradient at 0 is taken as 1."""
     if not 0.0 <= slope < 1.0:
         raise ShapeError(f"leaky_relu slope must lie in [0, 1), got {slope}")
-    t = as_tensor(x)
-    mask = np.where(t.data >= 0.0, 1.0, slope)
-
-    def backward(g, a=t, m=mask):
-        if a.requires_grad:
-            a._accumulate(g * m)
-
-    out = Tensor._op(t.data * mask, (t,), backward)
-    return out if isinstance(x, Tensor) else out.data
+    return x * np.where(x >= 0.0, 1.0, slope)
 
 
-def one_hot(labels: Array, num_classes: int) -> Array:
-    """Label indices -> one-hot rows; validates the range."""
+def leaky_relu_grad(g: Array, x: Array, slope: float) -> Array:
+    """Gradient through ``leaky_relu`` at input ``x``."""
+    return g * np.where(x >= 0.0, 1.0, slope)
+
+
+def sigmoid(x: Array) -> Array:
+    """Logistic function, in a split form that cannot overflow ``exp``."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def sigmoid_grad(g: Array, y: Array) -> Array:
+    """Gradient through ``sigmoid`` given its output ``y``."""
+    return g * y * (1.0 - y)
+
+
+def check_labels(labels, num_classes: int) -> Array:
+    """Labels as a 1-D int64 array; raises LabelError outside [0, num_classes).
+
+    The layers and ``one_hot`` index with labels unchecked, so every entry
+    point that takes labels from outside (``model.train``, ``model.generate``)
+    calls this once.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         bad = labels[(labels < 0) | (labels >= num_classes)][0]
         raise LabelError(f"label {bad} out of range for {num_classes} classes")
+    return labels
+
+
+def one_hot(labels: Array, num_classes: int) -> Array:
+    """Label indices -> one-hot rows; labels come from ``check_labels``."""
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
 
 
+def flatten_parameters(layers) -> tuple[Array, Array]:
+    """Move the parameters of ``layers`` into one contiguous float64 vector.
+
+    Returns ``(params, grads)``. Each parameter array named in a layer's
+    ``PARAMETERS`` becomes a view of ``params`` holding the same values, and
+    its ``grad_<name>`` array the matching view of ``grads``, so one
+    vectorised optimizer update covers every layer.
+    """
+    arrays = [(layer, name, getattr(layer, name))
+              for layer in layers for name in layer.PARAMETERS]
+    params = np.empty(sum(value.size for _, _, value in arrays))
+    grads = np.zeros_like(params)
+    offset = 0
+    for layer, name, value in arrays:
+        end = offset + value.size
+        view = params[offset:end].reshape(value.shape)
+        view[...] = value
+        setattr(layer, name, view)
+        setattr(layer, f"grad_{name}", grads[offset:end].reshape(value.shape))
+        offset = end
+    return params, grads
+
+
 class Linear:
     """Affine map y = xW + b with He-initialized weights and zero bias."""
+
+    PARAMETERS = ("weights", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weights = Tensor(he_init(in_dim, (in_dim, out_dim), rng), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.weights = he_init(in_dim, (in_dim, out_dim), rng)
+        self.bias = np.zeros(out_dim)
+        self.grad_weights = np.zeros_like(self.weights)
+        self.grad_bias = np.zeros_like(self.bias)
+        self._x: Array | None = None
 
-    def __call__(self, x) -> Tensor:
-        t = as_tensor(x)
-        if t.data.ndim != 2 or t.data.shape[1] != self.in_dim:
+    def __call__(self, x: Array) -> Array:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
-                f"linear layer expects input [b x {self.in_dim}], got {t.data.shape}"
+                f"linear layer expects input [b x {self.in_dim}], got {x.shape}"
             )
-        return t @ self.weights + self.bias
+        self._x = x
+        return x @ self.weights + self.bias
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weights, self.bias]
-
-
-def linear_forward(x: Array, layer: Linear) -> Array:
-    return layer(np.asarray(x, dtype=np.float64)).data
+    def backward(self, g: Array, input_grad: bool = True) -> Array | None:
+        """Parameter gradients of the last forward; the input gradient unless
+        ``input_grad`` is false (a first layer fed by data needs none)."""
+        np.matmul(self._x.T, g, out=self.grad_weights)
+        np.add.reduce(g, axis=0, out=self.grad_bias)
+        return g @ self.weights.T if input_grad else None
 
 
 class CondBatchNorm1d:
@@ -83,8 +132,10 @@ class CondBatchNorm1d:
     together); only the affine transform is class-indexed. Variances are
     population (divide by b). Running statistics follow an exponential
     moving average with the given momentum and replace batch statistics in
-    evaluation mode.
+    evaluation mode. Labels must lie in [0, num_classes) (``check_labels``).
     """
+
+    PARAMETERS = ("gamma", "beta")
 
     def __init__(self, num_classes: int, width: int,
                  eps: float = 1e-5, momentum: float = 0.1):
@@ -98,49 +149,59 @@ class CondBatchNorm1d:
         self.width = width
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Tensor(np.ones((num_classes, width)), requires_grad=True)
-        self.beta = Tensor(np.zeros((num_classes, width)), requires_grad=True)
+        self.gamma = np.ones((num_classes, width))
+        self.beta = np.zeros((num_classes, width))
+        self.grad_gamma = np.zeros_like(self.gamma)
+        self.grad_beta = np.zeros_like(self.beta)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
+        self._cache: tuple | None = None
 
-    def parameters(self) -> list[Tensor]:
-        return [self.gamma, self.beta]
-
-    def _validate(self, t: Tensor, labels: Array) -> Array:
-        if t.data.ndim != 2 or t.data.shape[1] != self.width:
-            raise ShapeError(f"expected input [b x {self.width}], got {t.data.shape}")
+    def __call__(self, x: Array, labels: Array, training: bool) -> Array:
+        if x.ndim != 2 or x.shape[1] != self.width:
+            raise ShapeError(f"expected input [b x {self.width}], got {x.shape}")
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (t.data.shape[0],):
-            raise ShapeError(
-                f"labels shape {labels.shape} does not match batch of {t.data.shape[0]}"
-            )
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            bad = labels[(labels < 0) | (labels >= self.num_classes)][0]
-            raise LabelError(f"label {bad} out of range for {self.num_classes} classes")
-        return labels
-
-    def __call__(self, x, labels: Array, training: bool) -> Tensor:
-        t = as_tensor(x)
-        labels = self._validate(t, labels)
-        b = t.data.shape[0]
-        if training:
-            if b < 2:
-                raise ShapeError("training-mode normalization needs a batch of >= 2 "
-                                 "(variance of a single sample is undefined)")
-            mu = t.mean(axis=0, keepdims=True)
-            var = ((t - mu) ** 2.0).mean(axis=0, keepdims=True)
-            # running statistics track the batch values, outside the tape
-            self.running_mean = ((1.0 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data[0])
-            self.running_var = ((1.0 - self.momentum) * self.running_var
-                                + self.momentum * var.data[0])
-            normalized = (t - mu) * ((var + self.eps) ** -0.5)
-        else:
-            normalized = ((t - self.running_mean)
+        b = x.shape[0]
+        if labels.shape != (b,):
+            raise ShapeError(f"labels shape {labels.shape} does not match batch of {b}")
+        gamma_rows = self.gamma[labels]
+        if not training:
+            normalized = ((x + self.running_mean * -1.0)
                           * ((self.running_var + self.eps) ** -0.5))
-        gamma_rows = self.gamma.take_rows(labels)
-        beta_rows = self.beta.take_rows(labels)
-        return gamma_rows * normalized + beta_rows
+            return gamma_rows * normalized + self.beta[labels]
+        if b < 2:
+            raise ShapeError("training-mode normalization needs a batch of >= 2 "
+                             "(variance of a single sample is undefined)")
+        mean = x.sum(axis=0, keepdims=True) * (1.0 / b)
+        centred = x + mean * -1.0
+        var = (centred ** 2.0).sum(axis=0, keepdims=True) * (1.0 / b)
+        self.running_mean = ((1.0 - self.momentum) * self.running_mean
+                             + self.momentum * mean[0])
+        self.running_var = ((1.0 - self.momentum) * self.running_var
+                            + self.momentum * var[0])
+        var_eps = var + self.eps
+        scale = var_eps ** -0.5
+        normalized = centred * scale
+        self._cache = (labels, centred, var_eps, scale, normalized, gamma_rows)
+        return gamma_rows * normalized + self.beta[labels]
+
+    def backward(self, g: Array) -> Array:
+        """Gradients of the last training forward; returns the input gradient."""
+        labels, centred, var_eps, scale, normalized, gamma_rows = self._cache
+        b = g.shape[0]
+        self.grad_gamma.fill(0.0)
+        np.add.at(self.grad_gamma, labels, g * normalized)
+        self.grad_beta.fill(0.0)
+        np.add.at(self.grad_beta, labels, g)
+        g_normalized = g * gamma_rows
+        g_centred = g_normalized * scale
+        g_var = ((g_normalized * centred).sum(axis=0, keepdims=True)
+                 * -0.5 * var_eps ** -1.5)
+        g_var_branch = g_var * (1.0 / b) * 2.0 * centred ** 1.0
+        g_mean = (g_var_branch.sum(axis=0, keepdims=True) * -1.0
+                  + g_centred.sum(axis=0, keepdims=True) * -1.0)
+        # the three paths into x add up in the tape's order
+        return (g_var_branch + g_centred) + g_mean * (1.0 / b)
 
 
 class BatchNorm1d(CondBatchNorm1d):
@@ -154,15 +215,5 @@ class BatchNorm1d(CondBatchNorm1d):
     def __init__(self, width: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__(1, width, eps=eps, momentum=momentum)
 
-    def __call__(self, x, training: bool) -> Tensor:  # type: ignore[override]
-        t = as_tensor(x)
-        labels = np.zeros(t.data.shape[0], dtype=np.int64)
-        return super().__call__(t, labels, training)
-
-
-def cbn_forward(x: Array, labels: Array, bank: CondBatchNorm1d, training: bool) -> Array:
-    return bank(np.asarray(x, dtype=np.float64), labels, training).data
-
-
-def batchnorm_forward(x: Array, params: BatchNorm1d, training: bool) -> Array:
-    return params(np.asarray(x, dtype=np.float64), training).data
+    def __call__(self, x: Array, training: bool) -> Array:  # type: ignore[override]
+        return super().__call__(x, np.zeros(x.shape[0], dtype=np.int64), training)

@@ -462,7 +462,12 @@ def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> N
 
 
 def load_schema(path) -> EncodingSchema:
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or UTF-8
+        raise DataError(f"malformed schema file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"schema file {path} does not hold a JSON object")
     schema = EncodingSchema.from_dict(payload)
     stored = payload.get("fingerprint")
     if stored and stored != schema.fingerprint:

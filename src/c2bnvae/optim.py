@@ -1,4 +1,4 @@
-"""Adam optimizer with bias correction.
+"""Adam optimizer with bias correction, over one flat parameter vector.
 
 Defaults follow the common convention: beta1=0.9, beta2=0.999, eps=1e-8,
 with eps added outside the square root.
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ShapeError
 
 Array = np.ndarray
@@ -18,62 +17,71 @@ Array = np.ndarray
 
 @dataclass
 class AdamState:
+    first_moment: Array
+    second_moment: Array
+    # two buffers the update reuses, so a step allocates no temporaries
+    scratch: tuple[Array, Array] = field(repr=False)
     step_count: int = 0
-    first_moment: list[Array] = field(default_factory=list)
-    second_moment: list[Array] = field(default_factory=list)
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[Array], beta1: float = 0.9,
+    def for_params(cls, params: Array, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(step_count=0,
-                   first_moment=[np.zeros_like(p) for p in params],
-                   second_moment=[np.zeros_like(p) for p in params],
+        return cls(first_moment=np.zeros_like(params),
+                   second_moment=np.zeros_like(params),
+                   scratch=(np.empty_like(params), np.empty_like(params)),
                    beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: list[Array], grads: list[Array],
-              state: AdamState, lr: float) -> tuple[list[Array], AdamState]:
-    """One Adam update; parameters and state buffers are updated in place."""
+def adam_step(params: Array, grads: Array, state: AdamState, lr: float) -> None:
+    """One Adam update of ``params`` in place, from ``grads``."""
     if lr <= 0:
         raise ShapeError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("params, grads and state must have matching lengths")
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        raise ShapeError(f"params {params.shape}, grads {grads.shape} and state "
+                         f"{state.first_moment.shape} must have matching shapes")
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-    return params, state
+    m, v = state.first_moment, state.second_moment
+    step, denom = state.scratch
+    # each line keeps the operation order of
+    #   m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
+    #   p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=step)
+    step *= grads
+    v += step
+    np.divide(m, bias1, out=step)
+    step *= lr
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params -= step
 
 
 class Adam:
-    """Convenience wrapper driving ``adam_step`` from Tensor ``.grad`` fields."""
+    """Drives ``adam_step`` over a parameter vector and its gradient vector."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4,
+    def __init__(self, params: Array, grads: Array, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        if params.shape != grads.shape:
+            raise ShapeError(f"gradient shape {grads.shape} does not match "
+                             f"parameters {params.shape}")
+        self.params = params
+        self.grads = grads
         self.lr = lr
-        self.state = AdamState.for_params([p.data for p in self.params],
-                                          beta1=beta1, beta2=beta2, eps=eps)
+        self.state = AdamState.for_params(params, beta1=beta1, beta2=beta2, eps=eps)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grads.fill(0.0)
 
     def step(self) -> None:
-        grads = []
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ShapeError(f"parameter {i} has no gradient; run backward() first")
-            grads.append(p.grad)
-        adam_step([p.data for p in self.params], grads, self.state, self.lr)
+        adam_step(self.params, self.grads, self.state, self.lr)

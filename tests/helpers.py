@@ -37,3 +37,26 @@ def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4, abs_floor: floa
         assert np.all(err < bound), (
             f"gradient mismatch: worst excess {worst:.3e}\nanalytic={a}\nnumeric={n}"
         )
+
+
+def assert_backward_matches_finite_differences(model, x, labels, rel_tol: float = 1e-4):
+    """``model.backward`` against central differences of ``model.loss`` over the
+    whole flat parameter vector, with the reparameterization noise fixed."""
+    from c2bnvae.model import reparameterize_t
+
+    def forward():
+        mu, logvar = model.encode(x, labels, training=True)
+        z, sigma, noise = reparameterize_t(mu, logvar, np.random.default_rng(0))
+        return mu, logvar, sigma, noise, model.decode(z, labels, training=True)
+
+    mu, logvar, sigma, noise, x_hat = forward()
+    model.backward(x, x_hat, mu, logvar, sigma, noise)
+    analytic = model.grads.copy()
+
+    def loss() -> float:
+        mu, logvar, _, _, x_hat = forward()
+        return float(model.loss(x, x_hat, mu, logvar)[0])
+
+    # the parameters are views of model.params, so perturbing it moves them
+    numeric = finite_diff_grads(loss, [model.params])
+    assert_grads_close([analytic], numeric, rel_tol=rel_tol)

@@ -18,16 +18,15 @@ import pytest
 from c2bnvae import balancers as bal
 from c2bnvae import dtree
 from c2bnvae import model as mm
-from c2bnvae.autodiff import Tensor, gradients
 from c2bnvae.costing import count_params_flops
 from c2bnvae.experiment import ExperimentConfig, preprocess, run_all
 from c2bnvae.losses import kl_gaussian, mse_loss
 from c2bnvae.metrics import EvalReport, accuracy, weighted_prf
-from c2bnvae.nn import BatchNorm1d, CondBatchNorm1d, batchnorm_forward, cbn_forward
+from c2bnvae.nn import BatchNorm1d, CondBatchNorm1d
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
 import corpus
-from helpers import assert_grads_close, finite_diff_grads
+from helpers import assert_backward_matches_finite_differences
 
 NSLKDD_DIR = os.environ.get("NSLKDD_DIR", "")
 
@@ -93,26 +92,7 @@ def test_criterion_2_gradient_suite():
         batch = int(rng.integers(3, 7))
         x = rng.random((batch, feature_dim))
         labels = rng.integers(0, num_classes, size=batch)
-        noise = rng.standard_normal((batch, latent))
-        named = model.named_parameters()
-        params = list(named.values())
-
-        def loss_of(m):
-            mu, logvar = m.encode(Tensor(x), labels, training=True)
-            z = mu + (logvar * 0.5).exp() * Tensor(noise)
-            x_hat = m.decode(z, labels, training=True)
-            total, _, _ = m.loss(x, x_hat, mu, logvar)
-            return total
-
-        def forward() -> float:
-            fresh = mm.C2BNVAE(config)
-            for name, tensor in fresh.named_parameters().items():
-                tensor.data = named[name].data
-            return loss_of(fresh).item()
-
-        analytic = gradients(loss_of(model), params)
-        numeric = finite_diff_grads(forward, [p.data for p in params])
-        assert_grads_close(analytic, numeric, rel_tol=1e-4)
+        assert_backward_matches_finite_differences(model, x, labels, rel_tol=1e-4)
         checked += 1
     elapsed = time.perf_counter() - start
     assert checked >= 20
@@ -146,34 +126,33 @@ def test_criterion_4_cbn_correctness():
     gamma = rng.normal(size=width)
     beta = rng.normal(size=width)
     bank = CondBatchNorm1d(classes, width, eps=1e-5)
-    bank.gamma.data = np.tile(gamma, (classes, 1))
-    bank.beta.data = np.tile(beta, (classes, 1))
+    bank.gamma[...] = np.tile(gamma, (classes, 1))
+    bank.beta[...] = np.tile(beta, (classes, 1))
     bn = BatchNorm1d(width, eps=1e-5)
-    bn.gamma.data = gamma[None, :].copy()
-    bn.beta.data = beta[None, :].copy()
+    bn.gamma[...] = gamma[None, :]
+    bn.beta[...] = beta[None, :]
     x = rng.normal(size=(40, width))
     labels = rng.integers(0, classes, size=40)
-    assert np.array_equal(cbn_forward(x, labels, bank, training=True),
-                          batchnorm_forward(x, bn, training=True))
+    assert np.array_equal(bank(x, labels, training=True), bn(x, training=True))
 
     # per-class affine hand examples
     single = CondBatchNorm1d(1, 1, eps=1e-12)
-    single.gamma.data = np.array([[2.0]])
-    single.beta.data = np.array([[1.0]])
+    single.gamma[...] = np.array([[2.0]])
+    single.beta[...] = np.array([[1.0]])
     np.testing.assert_allclose(
-        cbn_forward(np.array([[1.0], [3.0]]), np.array([0, 0]), single, True),
+        single(np.array([[1.0], [3.0]]), np.array([0, 0]), True),
         [[-1.0], [3.0]], atol=1e-9)
     pair = CondBatchNorm1d(2, 1, eps=1e-12)
-    pair.gamma.data = np.array([[1.0], [3.0]])
-    pair.beta.data = np.array([[0.0], [-1.0]])
+    pair.gamma[...] = np.array([[1.0], [3.0]])
+    pair.beta[...] = np.array([[0.0], [-1.0]])
     np.testing.assert_allclose(
-        cbn_forward(np.array([[0.0], [2.0]]), np.array([0, 1]), pair, True),
+        pair(np.array([[0.0], [2.0]]), np.array([0, 1]), True),
         [[-1.0], [2.0]], atol=1e-9)
 
     # pre-affine normalized statistics
     plain = CondBatchNorm1d(3, 6, eps=1e-12)
     data = rng.normal(loc=2.0, scale=1.5, size=(512, 6))
-    normalized = cbn_forward(data, rng.integers(0, 3, size=512), plain, True)
+    normalized = plain(data, rng.integers(0, 3, size=512), True)
     assert np.max(np.abs(normalized.mean(axis=0))) < 1e-6
     assert np.max(np.abs(normalized.var(axis=0) - 1.0)) < 1e-6
     announce(4, "CBN==BN with equal banks, affine examples exact, "

@@ -1,4 +1,6 @@
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,25 @@ class TestRunAllCommand:
         assert first == second
 
 
+    @pytest.mark.parametrize("header", [
+        ["not", "an", "object"],
+        {"schema_fingerprint": "x", "params": [], "stats": []},  # no config
+        {"config": {"feature_dim": 123, "num_classes": 5, "bogus": 1},
+         "schema_fingerprint": "x", "params": [], "stats": []},
+    ])
+    def test_retrains_over_malformed_checkpoint_header(self, preprocessed, tmp_path,
+                                                       header):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        (out / "models").mkdir()
+        head = json.dumps(header).encode()
+        bad = b"C2BN" + struct.pack("<I", 1) + struct.pack("<Q", len(head)) + head
+        (out / "models" / "c2bnvae.ckpt").write_bytes(bad)
+        rc = main(["run-all", "--out-dir", str(out), "--seed", "3"] + FAST_FLAGS)
+        assert rc == EXIT_OK
+        assert load_checkpoint(out / "models" / "c2bnvae.ckpt").config.epochs == 2
+
+
 class TestCountCommand:
     def test_published_numbers(self, capsys):
         rc = main(["count"])
@@ -213,6 +234,26 @@ class TestReportCommand:
 
     def test_empty_dir_is_data_error(self, tmp_path):
         assert main(["report", "--results-dir", str(tmp_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:len(text) // 2],  # truncated
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "algorithm"}),
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "confusion_matrix"}),
+        lambda text: json.dumps({**json.loads(text), "confusion_matrix": [[1, 2], [3]]}),
+        lambda text: json.dumps({**json.loads(text), "confusion_matrix": [[1, -2], [3, 4]]}),
+        lambda text: "[]",
+    ])
+    def test_malformed_report_is_data_error(self, preprocessed, tmp_path, edit):
+        if not (preprocessed / "results").is_dir():  # run alone, without TestRunAllCommand
+            assert main(["run-all", "--out-dir", str(preprocessed), "--seed", "3"]
+                        + FAST_FLAGS) == EXIT_OK
+        results = tmp_path / "results"
+        shutil.copytree(preprocessed / "results", results)
+        report = results / "smote.json"
+        report.write_text(edit(report.read_text()))
+        assert main(["report", "--results-dir", str(results)]) == EXIT_DATA
 
 
 def test_config_file_drives_commands(corpus_files, tmp_path, capsys):

@@ -1,15 +1,18 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from c2bnvae.autodiff import Tensor, gradients
 from c2bnvae.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from c2bnvae.errors import (CheckpointError, DataError, LabelError, ShapeError,
                             TrainingDiverged)
 from c2bnvae.losses import LOGVAR_MAX, LOGVAR_MIN
-from c2bnvae.model import (C2BNVAE, Checkpoint, ModelConfig, decode_arrays,
-                           encode_arrays, generate, reparameterize, train)
+from c2bnvae.model import (C2BNVAE, Checkpoint, ModelConfig, generate,
+                           reparameterize_t, train)
+from c2bnvae.nn import check_labels
 
-from helpers import assert_grads_close, finite_diff_grads
+from helpers import assert_backward_matches_finite_differences
 
 
 class Blobs:
@@ -36,14 +39,14 @@ class TestEncodeDecode:
     def test_table_shapes(self):
         model = C2BNVAE(ModelConfig(feature_dim=123, num_classes=5))
         x = np.random.default_rng(0).random((4, 123))
-        mu, logvar = encode_arrays(x, np.array([0, 1, 2, 3]), model)
+        mu, logvar = model.encode(x, np.array([0, 1, 2, 3]))
         assert mu.shape == (4, 32)
         assert logvar.shape == (4, 32)
 
     def test_decoder_shapes_and_range(self):
         model = C2BNVAE(ModelConfig(feature_dim=123, num_classes=5))
         z = np.random.default_rng(1).normal(size=(2, 32))
-        out = decode_arrays(z, np.array([0, 4]), model)
+        out = model.decode(z, np.array([0, 4]))
         assert out.shape == (2, 123)
         assert np.all((out > 0.0) & (out < 1.0))
 
@@ -51,10 +54,10 @@ class TestEncodeDecode:
         model = C2BNVAE(ModelConfig(feature_dim=5, num_classes=3, latent_dim=2,
                                     hidden_widths=(8,)))
         x = np.tile(np.random.default_rng(2).random((1, 5)), (3, 1))
-        mu, _ = encode_arrays(x, np.array([1, 1, 1]), model, training=False)
+        mu, _ = model.encode(x, np.array([1, 1, 1]), training=False)
         assert np.array_equal(mu[0], mu[1])
         assert np.array_equal(mu[0], mu[2])
-        again, _ = encode_arrays(x, np.array([1, 1, 1]), model, training=False)
+        again, _ = model.encode(x, np.array([1, 1, 1]), training=False)
         assert np.array_equal(mu, again)
 
     def test_label_reaches_the_network(self):
@@ -62,15 +65,18 @@ class TestEncodeDecode:
         ckpt, _ = train(data, blob_config(epochs=10))
         model = C2BNVAE.from_checkpoint(ckpt)
         x = np.tile(data.features[:1], (2, 1))
-        mu, _ = encode_arrays(x, np.array([0, 1]), model, training=False)
+        mu, _ = model.encode(x, np.array([0, 1]), training=False)
         assert not np.allclose(mu[0], mu[1])
 
     def test_encoder_validates_inputs(self):
         model = C2BNVAE(ModelConfig(feature_dim=5, num_classes=2))
         with pytest.raises(ShapeError):
-            encode_arrays(np.zeros((2, 4)), np.array([0, 1]), model)
+            model.encode(np.zeros((2, 4)), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="labels shape"):
+            model.encode(np.zeros((2, 5)), np.array([0, 1, 1]))
+        # labels are range-checked once per train or generate call
         with pytest.raises(LabelError):
-            encode_arrays(np.zeros((2, 5)), np.array([0, 2]), model)
+            check_labels(np.array([0, 2]), model.config.num_classes)
 
     def test_cbn_placement_decoder_only(self):
         model = C2BNVAE(ModelConfig(feature_dim=5, num_classes=2,
@@ -82,25 +88,25 @@ class TestEncodeDecode:
 class TestReparameterize:
     def test_clamp_floor_collapses_to_mean(self):
         mu = np.full((4, 3), 0.7)
-        z = reparameterize(mu, np.full((4, 3), -1e9), np.random.default_rng(0))
+        z, _, _ = reparameterize_t(mu, np.full((4, 3), -1e9), np.random.default_rng(0))
         assert np.max(np.abs(z - mu)) < 0.05  # sigma = exp(-5)
 
     def test_fixed_seed_reproducible(self):
         mu = np.zeros((3, 2))
         lv = np.zeros((3, 2))
-        a = reparameterize(mu, lv, np.random.default_rng(9))
-        b = reparameterize(mu, lv, np.random.default_rng(9))
+        a, _, _ = reparameterize_t(mu, lv, np.random.default_rng(9))
+        b, _, _ = reparameterize_t(mu, lv, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_statistical_moments(self):
-        z = reparameterize(np.zeros((100_000, 1)), np.zeros((100_000, 1)),
-                           np.random.default_rng(3))
+        z, _, _ = reparameterize_t(np.zeros((100_000, 1)), np.zeros((100_000, 1)),
+                                   np.random.default_rng(3))
         assert abs(z.mean()) < 5.0 / np.sqrt(z.size)
         assert abs(z.var() - 1.0) < 0.05
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            reparameterize(np.zeros((2, 2)), np.zeros((2, 3)), np.random.default_rng(0))
+            reparameterize_t(np.zeros((2, 2)), np.zeros((2, 3)), np.random.default_rng(0))
 
 
 class TestLoss:
@@ -159,6 +165,18 @@ class TestTrain:
         with pytest.raises(DataError):
             train(Empty(), blob_config())
 
+    def test_rejects_out_of_range_labels(self):
+        data = Blobs(n=64)
+        data.labels[3] = 2
+        with pytest.raises(LabelError):
+            train(data, blob_config(epochs=1))
+
+    def test_rejects_label_count_mismatch(self):
+        data = Blobs(n=64)
+        data.labels = data.labels[:40]
+        with pytest.raises(DataError, match="64 feature rows but 40 labels"):
+            train(data, blob_config(epochs=1))
+
     def test_nan_features_abort_with_location(self):
         data = Blobs(n=64)
         data.features[0, 0] = np.nan
@@ -207,26 +225,7 @@ class TestEndToEndGradients:
         rng = np.random.default_rng(0)
         x = rng.random((5, 6))
         labels = np.array([0, 1, 0, 1, 1])
-        noise = rng.standard_normal((5, 2))
-        named = model.named_parameters()
-        params = list(named.values())
-
-        def forward_loss(m: C2BNVAE):
-            mu, logvar = m.encode(Tensor(x), labels, training=True)
-            z = mu + (logvar * 0.5).exp() * Tensor(noise)
-            x_hat = m.decode(z, labels, training=True)
-            total, _, _ = m.loss(x, x_hat, mu, logvar)
-            return total
-
-        def forward() -> float:
-            fresh = C2BNVAE(config)
-            for name, tensor in fresh.named_parameters().items():
-                tensor.data = named[name].data  # share buffers so FD sees edits
-            return forward_loss(fresh).item()
-
-        analytic = gradients(forward_loss(model), params)
-        numeric = finite_diff_grads(forward, [p.data for p in params])
-        assert_grads_close(analytic, numeric)
+        assert_backward_matches_finite_differences(model, x, labels)
 
 
 class TestCheckpointIO:
@@ -265,6 +264,67 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bytes(raw))
 
+    @staticmethod
+    def with_header(raw: bytes, edit) -> bytes:
+        """``raw`` with its JSON header replaced by ``edit(header)``."""
+        (head_len,) = struct.unpack("<Q", raw[8:16])
+        edited = edit(json.loads(raw[16:16 + head_len]))
+        head = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
+        return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + head_len:]
+
+    @staticmethod
+    def edit(key, value=None, sub=None, delete=False):
+        def apply(header):
+            target = header if sub is None else header[sub]
+            if isinstance(target, list):
+                target = target[0]
+            if delete:
+                del target[key]
+            else:
+                target[key] = value
+            return header
+        return apply
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h],
+        lambda h: "header",
+        lambda h: b"\xff\xfe not utf-8",
+        edit("config", delete=True),
+        edit("config", 3),
+        edit("bogus", 1, sub="config"),
+        edit("feature_dim", "6", sub="config"),
+        edit("feature_dim", True, sub="config"),
+        edit("feature_dim", delete=True, sub="config"),
+        edit("latent_dim", 0, sub="config"),
+        edit("hidden_widths", ["16"], sub="config"),
+        edit("use_cbn", "yes", sub="config"),
+        edit("params", delete=True),
+        edit("params", {}),
+        edit("name", delete=True, sub="params"),
+        edit("name", 3, sub="params"),
+        edit("shape", "16", sub="params"),
+        edit("shape", [-1], sub="params"),
+        edit("shape", [True], sub="params"),
+        edit("stats", delete=True),
+        edit("schema_fingerprint", delete=True),
+        edit("schema_fingerprint", 7),
+    ])
+    def test_malformed_header_is_checkpoint_error(self, edit):
+        raw = checkpoint_bytes(self.make_checkpoint())
+        with pytest.raises(CheckpointError):
+            load_checkpoint(self.with_header(raw, edit))
+
+    def test_block_of_partial_floats_is_checkpoint_error(self):
+        raw = self.with_header(checkpoint_bytes(self.make_checkpoint()),
+                               lambda h: h)
+        (head_len,) = struct.unpack("<Q", raw[8:16])
+        first = 16 + head_len
+        (nbytes,) = struct.unpack("<Q", raw[first:first + 8])
+        broken = (raw[:first] + struct.pack("<Q", nbytes - 3)
+                  + raw[first + 8:first + 8 + nbytes - 3])
+        with pytest.raises(CheckpointError, match="float64"):
+            load_checkpoint(broken)
+
     def test_fingerprint_required(self):
         with pytest.raises(DataError):
             Checkpoint(config=blob_config(), params={}, stats={}, schema_fingerprint="")
@@ -287,8 +347,7 @@ def test_config_defaults_match_published_setup():
 def test_logvar_head_output_is_clamped():
     model = C2BNVAE(blob_config())
     # blow up the logvar head bias so the clamp must engage
-    model.logvar_head.bias.data[:] = 1e6
-    _, logvar = encode_arrays(np.random.default_rng(0).random((3, 6)),
-                              np.array([0, 1, 0]), model)
+    model.logvar_head.bias[:] = 1e6
+    _, logvar = model.encode(np.random.default_rng(0).random((3, 6)), np.array([0, 1, 0]))
     assert np.all(logvar <= LOGVAR_MAX)
     assert np.all(logvar >= LOGVAR_MIN)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from c2bnvae.autodiff import Tensor, gradients
 from c2bnvae.errors import LabelError, ShapeError
-from c2bnvae.nn import (BatchNorm1d, CondBatchNorm1d, Linear, batchnorm_forward,
-                        cbn_forward, he_init, leaky_relu, linear_forward, one_hot)
+from c2bnvae.nn import (BatchNorm1d, CondBatchNorm1d, Linear, check_labels,
+                        flatten_parameters, he_init, leaky_relu, one_hot)
 
 from helpers import assert_grads_close, finite_diff_grads
 
@@ -12,29 +11,42 @@ from helpers import assert_grads_close, finite_diff_grads
 def make_linear(weights, bias):
     w = np.asarray(weights, dtype=np.float64)
     layer = Linear(w.shape[0], w.shape[1], np.random.default_rng(0))
-    layer.weights.data = w
-    layer.bias.data = np.asarray(bias, dtype=np.float64)
+    layer.weights[...] = w
+    layer.bias[...] = np.asarray(bias, dtype=np.float64)
     return layer
 
 
 class TestLinear:
     def test_hand_arithmetic(self):
         layer = make_linear([[1.0], [1.0]], [0.0])
-        np.testing.assert_allclose(linear_forward(np.array([[1.0, 2.0]]), layer), [[3.0]])
+        np.testing.assert_allclose(layer(np.array([[1.0, 2.0]])), [[3.0]])
 
     def test_zero_input_yields_bias(self):
         layer = make_linear([[4.0], [-7.0]], [5.0])
-        np.testing.assert_allclose(linear_forward(np.array([[0.0, 0.0]]), layer), [[5.0]])
+        np.testing.assert_allclose(layer(np.array([[0.0, 0.0]])), [[5.0]])
 
     def test_identity_case(self):
         layer = make_linear(np.eye(2), [0.0, 0.0])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(linear_forward(x, layer), x)
+        np.testing.assert_allclose(layer(x), x)
 
     def test_shape_mismatch_names_both_shapes(self):
         layer = make_linear(np.eye(2), [0.0, 0.0])
         with pytest.raises(ShapeError, match=r"b x 2.*\(1, 3\)"):
-            linear_forward(np.ones((1, 3)), layer)
+            layer(np.ones((1, 3)))
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        layer = Linear(3, 2, rng)
+        layer.bias[...] = rng.normal(size=2)
+        x = rng.normal(size=(5, 3))
+
+        def forward() -> float:
+            return float((layer(x) ** 2.0).sum())
+
+        analytic = [layer.backward(2.0 * layer(x)), layer.grad_weights, layer.grad_bias]
+        numeric = finite_diff_grads(forward, [x, layer.weights, layer.bias])
+        assert_grads_close(analytic, numeric)
 
 
 class TestLeakyRelu:
@@ -74,8 +86,8 @@ class TestHeInit:
 def make_cbn(gamma, beta, eps=1e-12):
     gamma = np.atleast_2d(np.asarray(gamma, dtype=np.float64))
     bank = CondBatchNorm1d(gamma.shape[0], gamma.shape[1], eps=eps)
-    bank.gamma.data = gamma
-    bank.beta.data = np.atleast_2d(np.asarray(beta, dtype=np.float64))
+    bank.gamma[...] = gamma
+    bank.beta[...] = np.atleast_2d(np.asarray(beta, dtype=np.float64))
     return bank
 
 
@@ -83,12 +95,12 @@ class TestCondBatchNorm:
     def test_single_class_hand_example(self):
         # mu=2, population var=1, so rows normalize to -1/+1 then gamma=2, beta=1
         bank = make_cbn([[2.0]], [[1.0]])
-        out = cbn_forward(np.array([[1.0], [3.0]]), np.array([0, 0]), bank, training=True)
+        out = bank(np.array([[1.0], [3.0]]), np.array([0, 0]), training=True)
         np.testing.assert_allclose(out, [[-1.0], [3.0]], atol=1e-9)
 
     def test_pooled_stats_per_row_affine(self):
         bank = make_cbn([[1.0], [3.0]], [[0.0], [-1.0]])
-        out = cbn_forward(np.array([[0.0], [2.0]]), np.array([0, 1]), bank, training=True)
+        out = bank(np.array([[0.0], [2.0]]), np.array([0, 1]), training=True)
         np.testing.assert_allclose(out, [[-1.0], [2.0]], atol=1e-9)
 
     def test_identity_affine_on_standardized_input(self):
@@ -97,7 +109,7 @@ class TestCondBatchNorm:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         bank = make_cbn(np.ones((2, 5)), np.zeros((2, 5)))
         labels = rng.integers(0, 2, size=64)
-        out = cbn_forward(x, labels, bank, training=True)
+        out = bank(x, labels, training=True)
         np.testing.assert_allclose(out, x, atol=1e-6)
 
     def test_normalized_activations_have_unit_stats(self):
@@ -105,34 +117,37 @@ class TestCondBatchNorm:
         x = rng.normal(loc=3.0, scale=2.0, size=(256, 4))
         bank = make_cbn(np.ones((3, 4)), np.zeros((3, 4)), eps=1e-12)
         labels = rng.integers(0, 3, size=256)
-        normalized = cbn_forward(x, labels, bank, training=True)
+        normalized = bank(x, labels, training=True)
         assert np.all(np.abs(normalized.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(normalized.var(axis=0) - 1.0) < 1e-6)
 
     def test_label_out_of_range(self):
+        # labels are checked once where they enter (check_labels), not per layer
         bank = make_cbn([[1.0]], [[0.0]])
         with pytest.raises(LabelError):
-            cbn_forward(np.zeros((2, 1)), np.array([0, 1]), bank, training=True)
+            check_labels(np.array([0, 1]), bank.num_classes)
+        with pytest.raises(LabelError):
+            check_labels(np.array([-1, 0]), bank.num_classes)
 
     def test_singleton_batch_rejected_in_training(self):
         bank = make_cbn([[1.0]], [[0.0]])
         with pytest.raises(ShapeError, match=">= 2"):
-            cbn_forward(np.ones((1, 1)), np.array([0]), bank, training=True)
+            bank(np.ones((1, 1)), np.array([0]), training=True)
         # evaluation mode is row-independent and accepts singletons
-        cbn_forward(np.ones((1, 1)), np.array([0]), bank, training=False)
+        bank(np.ones((1, 1)), np.array([0]), training=False)
 
     def test_eval_mode_uses_running_statistics(self):
         bank = make_cbn([[1.0]], [[0.0]], eps=1e-12)
         bank.running_mean = np.array([10.0])
         bank.running_var = np.array([4.0])
-        out = cbn_forward(np.array([[12.0]]), np.array([0]), bank, training=False)
+        out = bank(np.array([[12.0]]), np.array([0]), training=False)
         np.testing.assert_allclose(out, [[1.0]], atol=1e-6)
 
     def test_running_statistics_ema_update(self):
         bank = make_cbn([[1.0]], [[0.0]])
         bank.momentum = 0.1
         x = np.array([[1.0], [3.0]])  # batch mean 2, population var 1
-        cbn_forward(x, np.array([0, 0]), bank, training=True)
+        bank(x, np.array([0, 0]), training=True)
         assert bank.running_mean == pytest.approx([0.9 * 0.0 + 0.1 * 2.0])
         assert bank.running_var == pytest.approx([0.9 * 1.0 + 0.1 * 1.0])
 
@@ -143,41 +158,37 @@ class TestCondBatchNorm:
         beta = rng.normal(size=width)
         bank = make_cbn(np.tile(gamma, (classes, 1)), np.tile(beta, (classes, 1)), eps=1e-5)
         bn = BatchNorm1d(width, eps=1e-5)
-        bn.gamma.data = gamma[None, :].copy()
-        bn.beta.data = beta[None, :].copy()
+        bn.gamma[...] = gamma[None, :]
+        bn.beta[...] = beta[None, :]
         x = rng.normal(size=(32, width))
         labels = rng.integers(0, classes, size=32)
-        out_cbn = cbn_forward(x, labels, bank, training=True)
-        out_bn = batchnorm_forward(x, bn, training=True)
+        out_cbn = bank(x, labels, training=True)
+        out_bn = bn(x, training=True)
         assert np.array_equal(out_cbn, out_bn)
 
     def test_gradients_flow_through_batch_statistics(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        x = rng.normal(size=(6, 3))
         bank = CondBatchNorm1d(2, 3, eps=1e-5)
-        bank.gamma.data = rng.normal(size=(2, 3))
-        bank.beta.data = rng.normal(size=(2, 3))
+        bank.gamma[...] = rng.normal(size=(2, 3))
+        bank.beta[...] = rng.normal(size=(2, 3))
         labels = np.array([0, 1, 0, 1, 1, 0])
-        params = [x, bank.gamma, bank.beta]
 
         def forward() -> float:
-            fresh = CondBatchNorm1d(2, 3, eps=1e-5)
-            fresh.gamma.data = bank.gamma.data
-            fresh.beta.data = bank.beta.data
-            return float((fresh(Tensor(x.data), labels, training=True) ** 2.0).mean().data)
+            return float((bank(x, labels, training=True) ** 2.0).mean())
 
-        loss = (bank(x, labels, training=True) ** 2.0).mean()
-        analytic = gradients(loss, params)
-        numeric = finite_diff_grads(forward, [p.data for p in params])
+        out = bank(x, labels, training=True)
+        analytic = [bank.backward(2.0 * out / out.size), bank.grad_gamma, bank.grad_beta]
+        numeric = finite_diff_grads(forward, [x, bank.gamma, bank.beta])
         assert_grads_close(analytic, numeric)
 
 
 class TestBatchNorm:
     def test_hand_example(self):
         bn = BatchNorm1d(1, eps=1e-12)
-        bn.gamma.data = np.array([[2.0]])
-        bn.beta.data = np.array([[1.0]])
-        out = batchnorm_forward(np.array([[1.0], [3.0]]), bn, training=True)
+        bn.gamma[...] = np.array([[2.0]])
+        bn.beta[...] = np.array([[1.0]])
+        out = bn(np.array([[1.0], [3.0]]), training=True)
         np.testing.assert_allclose(out, [[-1.0], [3.0]], atol=1e-9)
 
     def test_identity_on_standardized_input(self):
@@ -185,15 +196,15 @@ class TestBatchNorm:
         x = rng.normal(size=(50, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         bn = BatchNorm1d(3, eps=1e-12)
-        np.testing.assert_allclose(batchnorm_forward(x, bn, training=True), x, atol=1e-6)
+        np.testing.assert_allclose(bn(x, training=True), x, atol=1e-6)
 
     def test_equals_single_class_cbn(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(16, 4))
         bn = BatchNorm1d(4)
         bank = CondBatchNorm1d(1, 4)
-        out_bn = batchnorm_forward(x, bn, training=True)
-        out_cbn = cbn_forward(x, np.zeros(16, dtype=int), bank, training=True)
+        out_bn = bn(x, training=True)
+        out_cbn = bank(x, np.zeros(16, dtype=int), training=True)
         assert np.array_equal(out_bn, out_cbn)
 
 
@@ -201,4 +212,22 @@ def test_one_hot_shape_and_range():
     oh = one_hot(np.array([0, 2, 1]), 3)
     np.testing.assert_array_equal(oh, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     with pytest.raises(LabelError):
-        one_hot(np.array([3]), 3)
+        check_labels(np.array([3]), 3)
+    with pytest.raises(ShapeError):
+        check_labels(np.zeros((2, 1), dtype=int), 3)
+
+
+def test_flatten_parameters_makes_views():
+    rng = np.random.default_rng(1)
+    lin = Linear(3, 2, rng)
+    bank = CondBatchNorm1d(2, 2)
+    before = [lin.weights.copy(), lin.bias.copy(), bank.gamma.copy(), bank.beta.copy()]
+    params, grads = flatten_parameters([lin, bank])
+    assert params.shape == grads.shape == (6 + 2 + 4 + 4,)
+    assert np.array_equal(params, np.concatenate([b.ravel() for b in before]))
+    params[:] = 0.5
+    assert np.all(lin.weights == 0.5) and np.all(bank.beta == 0.5)
+    lin(np.ones((4, 3)))
+    lin.backward(np.ones((4, 2)), input_grad=False)
+    assert np.array_equal(grads[:8], np.full(8, 4.0))
+    assert np.all(grads[8:] == 0.0)

@@ -148,6 +148,20 @@ class TestSchema:
         assert loaded == schema
         assert loaded.fingerprint == schema.fingerprint
 
+    @pytest.mark.parametrize("text", [None, "[1, 2]", "\udcff"])
+    def test_malformed_schema_file_is_data_error(self, fitted, tmp_path, text):
+        schema, _, _ = fitted
+        path = tmp_path / "schema.json"
+        save_schema(schema, path)
+        if text is None:  # truncated
+            path.write_text(path.read_text()[:40])
+        elif text == "\udcff":  # not UTF-8
+            path.write_bytes(b"\xff\xfe{}")
+        else:
+            path.write_text(text)
+        with pytest.raises(DataError):
+            load_schema(path)
+
 
 class TestTransform:
     def test_entries_in_unit_interval(self, fitted):
