@@ -31,50 +31,35 @@ logger = logging.getLogger(__name__)
 class BalanceRequest:
     dataset: EncodedDataset
     seed: int = 0
-    targets: Array | None = None  # per-class target counts; default: max count
-
-    def resolved_targets(self, counts: Array) -> Array:
-        if self.targets is None:
-            return np.full_like(counts, counts.max())
-        targets = np.asarray(self.targets, dtype=np.int64)
-        if targets.shape != counts.shape:
-            raise ShapeError(f"targets shape {targets.shape} does not match "
-                             f"{counts.shape} classes")
-        if np.any(targets < counts):
-            raise DataError("target counts must be >= current counts for every class")
-        return targets
-
-
-def target_counts(counts: Array) -> Array:
-    """Per-class deficits up to the majority count."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise DataError("counts must be nonempty")
-    return counts.max() - counts
-
-
-def _class_counts(labels: Array, num_classes: int) -> Array:
-    return np.bincount(labels, minlength=num_classes)
-
-
-def _num_classes(dataset: EncodedDataset) -> int:
-    if dataset.labels.size == 0:
-        raise DataError("cannot balance an empty dataset")
-    return int(dataset.labels.max()) + 1
 
 
 def _class_rng(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, label]))
 
 
-def _finish(dataset: EncodedDataset, synthetic: list[tuple[Array, int]]) -> EncodedDataset:
-    if not synthetic:
-        return EncodedDataset(features=dataset.features.copy(),
-                              labels=dataset.labels.copy(), schema=dataset.schema)
-    rows = np.vstack([dataset.features] + [s for s, _ in synthetic])
-    labels = np.concatenate(
-        [dataset.labels] + [np.full(len(s), lab, dtype=np.int64) for s, lab in synthetic])
-    return EncodedDataset(features=rows, labels=labels, schema=dataset.schema)
+def _balance(request: BalanceRequest, fill) -> EncodedDataset:
+    """Fill every class up to the majority count.
+
+    ``fill(label, rows, deficit, rng)`` returns the ``deficit`` new rows of
+    class ``label`` from the class's own ``rows`` (empty for a class that is
+    absent below the top label) and the class rng. Classes with no deficit
+    are skipped, and the new rows follow the originals in class order.
+    """
+    dataset = request.dataset
+    if dataset.labels.size == 0:
+        raise DataError("cannot balance an empty dataset")
+    counts = np.bincount(dataset.labels)
+    features, labels = [dataset.features], [dataset.labels]
+    for label, count in enumerate(counts):
+        deficit = int(counts.max() - count)
+        if deficit == 0:
+            continue
+        rows = dataset.features[dataset.labels == label]
+        synthetic = fill(label, rows, deficit, _class_rng(request.seed, label))
+        features.append(synthetic)
+        labels.append(np.full(len(synthetic), label, dtype=np.int64))
+    return EncodedDataset(features=np.vstack(features), labels=np.concatenate(labels),
+                          schema=dataset.schema)
 
 
 # ----------------------------------------------------------------------
@@ -197,20 +182,12 @@ def _linear_svm_sgd(features: Array, signs: Array, penalty: float,
 
 def random_oversample(request: BalanceRequest) -> EncodedDataset:
     """Duplicate existing rows of each deficient class uniformly with replacement."""
-    dataset = request.dataset
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
-        if counts[label] == 0:
+    def fill(label, rows, deficit, rng):
+        if len(rows) == 0:
             raise DataError(f"class {label} has a deficit but no samples to copy")
-        rows = dataset.features[dataset.labels == label]
-        rng = _class_rng(request.seed, label)
-        synthetic.append((rows[rng.integers(0, len(rows), size=deficit)], label))
-    return _finish(dataset, synthetic)
+        return rows[rng.integers(0, len(rows), size=deficit)]
+
+    return _balance(request, fill)
 
 
 def _interpolate(seeds: Array, neighbor_pool: Array, neighbor_table: Array,
@@ -234,23 +211,27 @@ def _smote_one_class(rows: Array, deficit: int, k: int,
     return _interpolate(rows, rows, table, deficit, rng)
 
 
+def _smote_from_seeds(rows: Array, is_seed: Array, deficit: int, k: int,
+                      rng: np.random.Generator, empty: str) -> Array:
+    """SMOTE from the class rows marked ``is_seed`` toward their same-class
+    neighbors; with no seed row, log ``empty`` and fall back to plain SMOTE."""
+    seeds = rows[is_seed]
+    if len(seeds) == 0:
+        logger.info("%s, falling back to plain SMOTE", empty)
+        return _smote_one_class(rows, deficit, k, rng)
+    k_eff = min(k, len(rows) - 1)
+    table = _knn_indices(seeds, rows, k_eff + 1)
+    table = _drop_own_row(table, np.flatnonzero(is_seed))
+    return _interpolate(seeds, rows, table, deficit, rng)
+
+
 def smote(request: BalanceRequest, k: int = 5) -> EncodedDataset:
     """Classic interpolation between a class row and one of its k nearest
     same-class neighbors."""
     if k < 1:
         raise ShapeError(f"k must be >= 1, got {k}")
-    dataset = request.dataset
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
-        rows = dataset.features[dataset.labels == label]
-        rng = _class_rng(request.seed, label)
-        synthetic.append((_smote_one_class(rows, deficit, k, rng), label))
-    return _finish(dataset, synthetic)
+    return _balance(request,
+                    lambda label, rows, deficit, rng: _smote_one_class(rows, deficit, k, rng))
 
 
 def borderline_smote(request: BalanceRequest, k: int = 5, m: int = 10) -> EncodedDataset:
@@ -260,35 +241,20 @@ def borderline_smote(request: BalanceRequest, k: int = 5, m: int = 10) -> Encode
     if k < 1 or m < 1:
         raise ShapeError(f"k and m must be >= 1, got k={k}, m={m}")
     dataset = request.dataset
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
-        mask = dataset.labels == label
-        rows = dataset.features[mask]
+
+    def fill(label, rows, deficit, rng):
         if len(rows) < 2:
             raise DataError("Borderline-SMOTE needs at least 2 samples in a "
                             "deficient class")
         m_eff = min(m, len(dataset.features) - 1)
         table = _knn_indices(rows, dataset.features, m_eff + 1)
-        neighborhood = _drop_own_row(table, np.flatnonzero(mask))
+        neighborhood = _drop_own_row(table, np.flatnonzero(dataset.labels == label))
         other_counts = (dataset.labels[neighborhood] != label).sum(axis=1)
         danger = (2 * other_counts >= m_eff) & (other_counts < m_eff)
-        seeds = rows[danger]
-        rng = _class_rng(request.seed, label)
-        if len(seeds) == 0:
-            logger.info("borderline_smote: DANGER set empty for class %d, "
-                        "falling back to plain SMOTE", label)
-            synthetic.append((_smote_one_class(rows, deficit, k, rng), label))
-            continue
-        k_eff = min(k, len(rows) - 1)
-        table = _knn_indices(seeds, rows, k_eff + 1)
-        table = _drop_own_row(table, np.flatnonzero(danger))
-        synthetic.append((_interpolate(seeds, rows, table, deficit, rng), label))
-    return _finish(dataset, synthetic)
+        return _smote_from_seeds(rows, danger, deficit, k, rng,
+                                 f"borderline_smote: DANGER set empty for class {label}")
+
+    return _balance(request, fill)
 
 
 def kmeans_smote(request: BalanceRequest, k: int = 5, n_clusters: int = 8,
@@ -300,18 +266,11 @@ def kmeans_smote(request: BalanceRequest, k: int = 5, n_clusters: int = 8,
         raise ShapeError(f"k and n_clusters must be >= 1, got k={k}, "
                          f"n_clusters={n_clusters}")
     dataset = request.dataset
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
-        rows = dataset.features[dataset.labels == label]
+
+    def fill(label, rows, deficit, rng):
         if len(rows) < 2:
             raise DataError("KMeans-SMOTE needs at least 2 samples in a "
                             "deficient class")
-        rng = _class_rng(request.seed, label)
         assign = _kmeans(dataset.features, n_clusters, rng)
         member_assign = assign[dataset.labels == label]
         eligible = []
@@ -329,8 +288,7 @@ def kmeans_smote(request: BalanceRequest, k: int = 5, n_clusters: int = 8,
         if not eligible:
             logger.info("kmeans_smote: no eligible cluster for class %d, "
                         "falling back to plain SMOTE", label)
-            synthetic.append((_smote_one_class(rows, deficit, k, rng), label))
-            continue
+            return _smote_one_class(rows, deficit, k, rng)
         weights = np.array([d for _, d in eligible])
         shares = _apportion(deficit, weights / weights.sum())
         parts = []
@@ -338,8 +296,9 @@ def kmeans_smote(request: BalanceRequest, k: int = 5, n_clusters: int = 8,
             if share == 0:
                 continue
             parts.append(_smote_one_class(members, share, k, rng))
-        synthetic.append((np.vstack(parts), label))
-    return _finish(dataset, synthetic)
+        return np.vstack(parts)
+
+    return _balance(request, fill)
 
 
 def _apportion(total: int, fractions: Array) -> Array:
@@ -362,34 +321,19 @@ def svm_smote(request: BalanceRequest, k: int = 5, penalty: float = 1.0) -> Enco
     if penalty <= 0:
         raise ShapeError(f"penalty must be positive, got {penalty}")
     dataset = request.dataset
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
+
+    def fill(label, rows, deficit, rng):
         mask = dataset.labels == label
-        rows = dataset.features[mask]
         if len(rows) < 2 or int(np.sum(~mask)) < 2:
             raise DataError("SVM-SMOTE needs at least 2 samples on each side "
                             "of the one-vs-rest split")
-        rng = _class_rng(request.seed, label)
         signs = np.where(mask, 1.0, -1.0)
         w = _linear_svm_sgd(dataset.features, signs, penalty, rng)
         margins = np.hstack([rows, np.ones((len(rows), 1))]) @ w
-        support = margins <= 1.0 + 1e-12
-        seeds = rows[support]
-        if len(seeds) == 0:
-            logger.info("svm_smote: no support vectors for class %d, "
-                        "falling back to plain SMOTE", label)
-            synthetic.append((_smote_one_class(rows, deficit, k, rng), label))
-            continue
-        k_eff = min(k, len(rows) - 1)
-        table = _knn_indices(seeds, rows, k_eff + 1)
-        table = _drop_own_row(table, np.flatnonzero(support))
-        synthetic.append((_interpolate(seeds, rows, table, deficit, rng), label))
-    return _finish(dataset, synthetic)
+        return _smote_from_seeds(rows, margins <= 1.0 + 1e-12, deficit, k, rng,
+                                 f"svm_smote: no support vectors for class {label}")
+
+    return _balance(request, fill)
 
 
 def generative_balance(request: BalanceRequest,
@@ -400,24 +344,7 @@ def generative_balance(request: BalanceRequest,
         raise DataError("checkpoint was trained against a different encoding "
                         f"schema (checkpoint {checkpoint.schema_fingerprint[:12]}..., "
                         f"dataset {dataset.schema.fingerprint[:12]}...)")
-    counts = _class_counts(dataset.labels, _num_classes(dataset))
-    if len(counts) > checkpoint.config.num_classes:
+    if dataset.labels.size and dataset.labels.max() >= checkpoint.config.num_classes:
         raise LabelError("dataset holds labels outside the checkpoint's classes")
-    targets = request.resolved_targets(counts)
-    synthetic = []
-    for label in range(len(counts)):
-        deficit = int(targets[label] - counts[label])
-        if deficit == 0:
-            continue
-        rng = _class_rng(request.seed, label)
-        synthetic.append((model_mod.generate(label, deficit, checkpoint, rng), label))
-    return _finish(dataset, synthetic)
-
-
-BALANCERS = {
-    "random": random_oversample,
-    "smote": smote,
-    "borderline_smote": borderline_smote,
-    "kmeans_smote": kmeans_smote,
-    "svm_smote": svm_smote,
-}
+    return _balance(request, lambda label, rows, deficit, rng:
+                    model_mod.generate(label, deficit, checkpoint, rng))

@@ -20,6 +20,7 @@ import logging
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,24 +35,37 @@ from .metrics import EvalReport, confusion, results_table
 from .model import Checkpoint, ModelConfig, TraceRow
 from .nslkdd import (CATEGORY_NAMES, NUM_CATEGORIES, EncodedDataset,
                      class_counts, default_taxonomy, fit_schema, load_dataset,
-                     load_taxonomy, read_records, save_dataset, save_schema,
-                     transform)
+                     load_taxonomy, map_attack, read_records, save_dataset,
+                     save_schema, transform)
 
 logger = logging.getLogger(__name__)
 
-# result rows in the published order
-ALGORITHMS = (
-    "Original imbalanced Data",
-    "Random oversampling",
-    "SMOTE",
-    "Borderline SMOTE",
-    "KMeans SMOTE",
-    "SVM SMOTE",
-    "CVAE",
-    "C2BNVAE",
-)
+class Row(NamedTuple):
+    """How one result row balances the training set: ``balance(request,
+    config, checkpoint)``, or None to keep it as it is. A generator row sets
+    ``use_cbn`` for the generator it trains, and its ``balance`` receives that
+    generator's checkpoint; the other rows receive None."""
+    balance: Callable | None
+    use_cbn: bool | None = None
 
-GENERATIVE = {"CVAE": False, "C2BNVAE": True}  # name -> use_cbn
+
+# result rows in the published order. Each row looks its balancer up on the
+# module when it runs, never at import, so that a wrapper put on
+# ``balancers.<name>`` later (the benchmark's timing spans) sees the call.
+ROWS = {
+    "Original imbalanced Data": Row(None),
+    "Random oversampling": Row(lambda req, cfg, ck: bal.random_oversample(req)),
+    "SMOTE": Row(lambda req, cfg, ck: bal.smote(req, k=cfg.smote_k)),
+    "Borderline SMOTE": Row(lambda req, cfg, ck: bal.borderline_smote(
+        req, k=cfg.smote_k, m=cfg.borderline_m)),
+    "KMeans SMOTE": Row(lambda req, cfg, ck: bal.kmeans_smote(
+        req, k=cfg.smote_k, n_clusters=cfg.kmeans_clusters,
+        imbalance_threshold=cfg.kmeans_threshold)),
+    "SVM SMOTE": Row(lambda req, cfg, ck: bal.svm_smote(req, k=cfg.smote_k,
+                                                        penalty=cfg.svm_penalty)),
+    "CVAE": Row(lambda req, cfg, ck: bal.generative_balance(req, ck), use_cbn=False),
+    "C2BNVAE": Row(lambda req, cfg, ck: bal.generative_balance(req, ck), use_cbn=True),
+}
 
 
 @dataclass
@@ -109,17 +123,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "hidden_widths" in d:
-            d["hidden_widths"] = tuple(d["hidden_widths"])
+        """Inverse of ``to_dict``; raises DataError for a key that is unknown
+        or ill-typed."""
+        model_mod.check_config_fields(cls, d, "experiment config")
         return cls(**d)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (json.JSONDecodeError, TypeError) as exc:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise DataError(f"bad experiment config {path}: {exc}") from exc
+        return cls.from_dict(payload)
 
     def model_config(self, feature_dim: int, use_cbn: bool, seed: int) -> ModelConfig:
         return ModelConfig(feature_dim=feature_dim, num_classes=NUM_CATEGORIES,
@@ -135,6 +150,11 @@ class ExperimentConfig:
 
     def encoded_dir(self) -> Path:
         return Path(self.out_dir) / "encoded"
+
+    def encoded_paths(self) -> tuple[Path, Path]:
+        """The encoded train and test files, named by the dataset format."""
+        ext = "c2ds" if self.dataset_format == "binary" else "csv"
+        return self.encoded_dir() / f"train.{ext}", self.encoded_dir() / f"test.{ext}"
 
     def models_dir(self) -> Path:
         return Path(self.out_dir) / "models"
@@ -187,16 +207,13 @@ def preprocess(config: ExperimentConfig) -> dict:
     train_records = read_records(config.train_path)
     test_records = read_records(config.test_path)
     if config.subsample < 1.0:
-        from .nslkdd import map_attack
-
+        subsampled = []
         for name, records in (("train", train_records), ("test", test_records)):
             labels = np.array([map_attack(r.attack_name, taxonomy) for r in records])
             rng = np.random.default_rng(stage_seed(config.seed, f"subsample.{name}"))
             idx = stratified_subsample(labels, config.subsample, rng)
-            if name == "train":
-                train_records = [records[i] for i in idx]
-            else:
-                test_records = [records[i] for i in idx]
+            subsampled.append([records[i] for i in idx])
+        train_records, test_records = subsampled
     schema = fit_schema(train_records, extra_vocab_records=test_records,
                         pad_to=config.pad_to)
     encoded_train = transform(train_records, schema, taxonomy)
@@ -205,11 +222,9 @@ def preprocess(config: ExperimentConfig) -> dict:
     out = config.encoded_dir()
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_for(config, "preprocess")
-    ext = "c2ds" if config.dataset_format == "binary" else "csv"
-    save_dataset(encoded_train, out / f"train.{ext}", fmt=config.dataset_format,
-                 manifest=manifest)
-    save_dataset(encoded_test, out / f"test.{ext}", fmt=config.dataset_format,
-                 manifest=manifest)
+    train_file, test_file = config.encoded_paths()
+    save_dataset(encoded_train, train_file, fmt=config.dataset_format, manifest=manifest)
+    save_dataset(encoded_test, test_file, fmt=config.dataset_format, manifest=manifest)
     save_schema(schema, out / "schema.json", manifest=manifest)
 
     counts = class_counts(encoded_train)
@@ -217,17 +232,16 @@ def preprocess(config: ExperimentConfig) -> dict:
     lines += [f"{name} {count}" for name, count in zip(CATEGORY_NAMES, counts)]
     lines.append(f"Total {counts.sum()}")
     (out / "counts.txt").write_text("\n".join(lines) + "\n")
-    return {"train": out / f"train.{ext}", "test": out / f"test.{ext}",
+    return {"train": train_file, "test": test_file,
             "schema": out / "schema.json", "counts": counts,
             "feature_dim": schema.feature_dim}
 
 
 def load_encoded(config: ExperimentConfig) -> tuple[EncodedDataset, EncodedDataset]:
-    out = config.encoded_dir()
-    ext = "c2ds" if config.dataset_format == "binary" else "csv"
-    train_file, test_file = out / f"train.{ext}", out / f"test.{ext}"
+    train_file, test_file = config.encoded_paths()
     if not train_file.exists() or not test_file.exists():
-        raise DataError(f"encoded datasets not found under {out}; run preprocess first")
+        raise DataError(f"encoded datasets not found under {config.encoded_dir()}; "
+                        f"run preprocess first")
     return load_dataset(train_file), load_dataset(test_file)
 
 
@@ -274,29 +288,6 @@ def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
 # the full sweep
 # ----------------------------------------------------------------------
 
-def _balanced_for(name: str, config: ExperimentConfig, train_set: EncodedDataset,
-                  checkpoints: dict[str, Checkpoint]) -> EncodedDataset:
-    request = bal.BalanceRequest(train_set,
-                                 seed=stage_seed(config.seed, f"balance.{name}"))
-    if name == "Original imbalanced Data":
-        return train_set
-    if name == "Random oversampling":
-        return bal.random_oversample(request)
-    if name == "SMOTE":
-        return bal.smote(request, k=config.smote_k)
-    if name == "Borderline SMOTE":
-        return bal.borderline_smote(request, k=config.smote_k, m=config.borderline_m)
-    if name == "KMeans SMOTE":
-        return bal.kmeans_smote(request, k=config.smote_k,
-                                n_clusters=config.kmeans_clusters,
-                                imbalance_threshold=config.kmeans_threshold)
-    if name == "SVM SMOTE":
-        return bal.svm_smote(request, k=config.smote_k, penalty=config.svm_penalty)
-    if name in GENERATIVE:
-        return bal.generative_balance(request, checkpoints[name])
-    raise DataError(f"unknown algorithm row {name!r}")
-
-
 def _slug(name: str) -> str:
     return name.lower().replace(" ", "_")
 
@@ -313,9 +304,11 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
 
     checkpoints: dict[str, Checkpoint] = {}
     generator_failures: dict[str, str] = {}
-    for name, use_cbn in GENERATIVE.items():
+    for name, row in ROWS.items():
+        if row.use_cbn is None:
+            continue
         try:
-            ckpt, _, _ = train_generator(config, train_set, use_cbn)
+            ckpt, _, _ = train_generator(config, train_set, row.use_cbn)
             checkpoints[name] = ckpt
         except Exception as exc:  # the row records the failure below
             logger.warning("generator %s failed: %s", name, exc)
@@ -323,11 +316,15 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
 
     rows: list[tuple[str, EvalReport | str]] = []
     params = config.tree_params()
-    for name in ALGORITHMS:
+    for name, row in ROWS.items():
         try:
             if name in generator_failures:
                 raise DataError(generator_failures[name])
-            balanced = _balanced_for(name, config, train_set, checkpoints)
+            seed = stage_seed(config.seed, f"balance.{name}")
+            balanced = train_set
+            if row.balance is not None:
+                request = bal.BalanceRequest(train_set, seed=seed)
+                balanced = row.balance(request, config, checkpoints.get(name))
             tree = dtree.fit(balanced.features, balanced.labels, params)
             predictions = dtree.predict(tree, test_set.features)
             cm = confusion(test_set.labels, predictions, NUM_CATEGORIES)
@@ -335,24 +332,25 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             rows.append((name, report))
             path = results_dir / f"{_slug(name)}.json"
             path.write_text(report.to_json(manifest=manifest_for(config, "run-all")))
-            if config.save_balanced and name != "Original imbalanced Data":
+            if row.balance is None:
+                continue
+            if config.save_balanced:
                 save_dataset(balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
                              fmt="binary", manifest=manifest_for(config, "run-all"))
-            if name != "Original imbalanced Data":
-                sidecar = {
-                    "manifest": manifest_for(config, "run-all"),
-                    "method": name,
-                    "seed": stage_seed(config.seed, f"balance.{name}"),
-                    "parameters": {"smote_k": config.smote_k,
-                                   "borderline_m": config.borderline_m,
-                                   "kmeans_clusters": config.kmeans_clusters,
-                                   "kmeans_threshold": config.kmeans_threshold,
-                                   "svm_penalty": config.svm_penalty},
-                    "synthetic_per_class": (class_counts(balanced)
-                                            - class_counts(train_set)).tolist(),
-                }
-                (results_dir / f"{_slug(name)}_balance_manifest.json").write_text(
-                    json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+            sidecar = {
+                "manifest": manifest_for(config, "run-all"),
+                "method": name,
+                "seed": seed,
+                "parameters": {"smote_k": config.smote_k,
+                               "borderline_m": config.borderline_m,
+                               "kmeans_clusters": config.kmeans_clusters,
+                               "kmeans_threshold": config.kmeans_threshold,
+                               "svm_penalty": config.svm_penalty},
+                "synthetic_per_class": (class_counts(balanced)
+                                        - class_counts(train_set)).tolist(),
+            }
+            (results_dir / f"{_slug(name)}_balance_manifest.json").write_text(
+                json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         except Exception as exc:
             logger.warning("algorithm %s failed: %s", name, exc)
             rows.append((name, str(exc)))
@@ -444,7 +442,7 @@ def load_reports(results_dir) -> list[tuple[str, EvalReport | str]]:
     """Rebuild result rows from the per-algorithm JSON files."""
     results_dir = Path(results_dir)
     rows: list[tuple[str, EvalReport | str]] = []
-    for name in ALGORITHMS:
+    for name in ROWS:
         path = results_dir / f"{_slug(name)}.json"
         if not path.exists():
             continue

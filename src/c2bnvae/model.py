@@ -41,14 +41,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# checks for the JSON value of each ModelConfig field, by annotation
+# checks for the JSON value of a config field, by annotation
 _FIELD_CHECKS = {
     "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
     "float": lambda v: _is_int(v) or isinstance(v, float),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
     "tuple[int, ...]": lambda v: isinstance(v, list) and all(_is_int(w) for w in v),
 }
+
+
+def check_config_fields(cls, d, what: str) -> None:
+    """Raise DataError unless ``d`` is a JSON object whose keys are fields of
+    the dataclass ``cls`` and whose values fit those fields' annotations."""
+    if not isinstance(d, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(d).__name__}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(kinds))
+    if unknown:
+        raise DataError(f"unknown {what} keys {unknown}")
+    for name, value in d.items():
+        if not _FIELD_CHECKS[kinds[name]](value):
+            raise DataError(f"{what} {name} has ill-typed value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,18 +143,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of ``to_dict``; raises DataError for a key that is unknown,
         missing or ill-typed, and for a value the constructor rejects."""
-        if not isinstance(d, dict):
-            raise DataError(f"model config must be a JSON object, got {type(d).__name__}")
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(d) - set(kinds))
-        if unknown:
-            raise DataError(f"unknown model config keys {unknown}")
-        for name, value in d.items():
-            if not _FIELD_CHECKS[kinds[name]](value):
-                raise DataError(f"model config {name} has ill-typed value {value!r}")
-        d = dict(d)
-        if "hidden_widths" in d:
-            d["hidden_widths"] = tuple(d["hidden_widths"])
+        check_config_fields(cls, d, "model config")
         try:
             return cls(**d)
         except (TypeError, ShapeError) as exc:  # a required key is missing, or a bad value

@@ -390,6 +390,9 @@ def _checked(features: Array, labels: Array, schema: EncodingSchema,
              path: Path) -> EncodedDataset:
     if labels.size and labels.min() < 0:
         raise DataError(f"{path}: labels must be nonnegative, got {int(labels.min())}")
+    if labels.size and labels.max() >= NUM_CATEGORIES:
+        raise DataError(f"{path}: labels must be below {NUM_CATEGORIES}, "
+                        f"got {int(labels.max())}")
     if not np.all(np.isfinite(features)):
         raise DataError(f"{path}: features must be finite (no NaN or infinity)")
     return EncodedDataset(features=features, labels=labels, schema=schema)

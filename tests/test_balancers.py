@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from c2bnvae.balancers import (BALANCERS, BalanceRequest, borderline_smote,
+from c2bnvae import balancers
+from c2bnvae.balancers import (BalanceRequest, borderline_smote,
                                generative_balance, kmeans_smote,
-                               random_oversample, smote, svm_smote,
-                               target_counts)
+                               random_oversample, smote, svm_smote)
 from c2bnvae.errors import DataError, ShapeError
 from c2bnvae.model import ModelConfig, train
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
@@ -24,23 +24,15 @@ def imbalanced_blobs(n_major=60, n_minor=12, dim=3, seed=0) -> EncodedDataset:
     return toy_dataset(np.vstack([major, minor]), [0] * n_major + [1] * n_minor)
 
 
-class TestTargets:
-    def test_deficits(self):
-        assert target_counts(np.array([10, 4, 6])).tolist() == [0, 6, 4]
-
-    def test_balanced_means_zero_deficits(self):
-        assert target_counts(np.array([5, 5])).tolist() == [0, 0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            target_counts(np.array([], dtype=int))
+OVERSAMPLERS = ("borderline_smote", "kmeans_smote", "random_oversample", "smote",
+                "svm_smote")
 
 
 class TestSharedInvariants:
-    @pytest.mark.parametrize("name", sorted(BALANCERS))
+    @pytest.mark.parametrize("name", OVERSAMPLERS)
     def test_counts_prefix_and_determinism(self, name):
         data = imbalanced_blobs()
-        balancer = BALANCERS[name]
+        balancer = getattr(balancers, name)
         out_a = balancer(BalanceRequest(data, seed=11))
         out_b = balancer(BalanceRequest(data, seed=11))
         counts = class_counts(out_a, num_classes=2)
@@ -54,13 +46,19 @@ class TestSharedInvariants:
         different = balancer(BalanceRequest(data, seed=12))
         assert not np.array_equal(out_a.features, different.features)
 
-    @pytest.mark.parametrize("name", sorted(BALANCERS))
+    @pytest.mark.parametrize("name", OVERSAMPLERS)
     def test_no_deficit_is_identity(self, name):
         data = toy_dataset(np.random.default_rng(0).random((10, 2)),
                            [0] * 5 + [1] * 5)
-        out = BALANCERS[name](BalanceRequest(data, seed=0))
+        out = getattr(balancers, name)(BalanceRequest(data, seed=0))
         assert np.array_equal(out.features, data.features)
         assert np.array_equal(out.labels, data.labels)
+
+
+    @pytest.mark.parametrize("name", OVERSAMPLERS)
+    def test_empty_dataset_rejected(self, name):
+        with pytest.raises(DataError, match="empty"):
+            getattr(balancers, name)(BalanceRequest(toy_dataset(np.zeros((0, 2)), [])))
 
 
 class TestRandomOversample:

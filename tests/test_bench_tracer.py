@@ -1,5 +1,6 @@
 """The benchmark's tracer (``bench/spans.py``) must still find every name it
-wraps, and the training path must call through the ones it times."""
+wraps, and the training path and the experiment's row table must call
+through the ones it times."""
 
 import json
 import os
@@ -43,13 +44,63 @@ TRAINING_SPANS = ("model.train", "model.encode", "model.decode", "model.reparame
                   "losses.mse_loss", "losses.kl_gaussian", "optim.Adam.step")
 
 
-def test_tracer_installs_and_times_the_training_step():
+# every row of the experiment's row table on a tiny 3-class dataset, after
+# the tracer has wrapped ``balancers.<name>``
+ROWS_SCRIPT = """
+import json
+import sys
+
+import numpy as np
+
+sys.path.insert(0, "bench")
+import spans
+from c2bnvae import balancers, experiment, model
+from c2bnvae.nslkdd import EncodedDataset, synthetic_schema
+
+tracer = spans.Tracer()
+tracer.install()
+
+rng = np.random.default_rng(0)
+centers = np.repeat([[0.2] * 6, [0.5] * 6, [0.8] * 6], [40, 12, 8], axis=0)
+data = EncodedDataset(features=np.clip(centers + rng.normal(0, 0.05, centers.shape), 0, 1),
+                      labels=np.repeat([0, 1, 2], [40, 12, 8]),
+                      schema=synthetic_schema(6))
+ckpt, _ = model.train(data, model.ModelConfig(feature_dim=6, num_classes=3, latent_dim=2,
+                                              hidden_widths=(5, 5), epochs=1,
+                                              batch_size=16))
+config = experiment.ExperimentConfig(smote_k=3, borderline_m=5, kmeans_clusters=3)
+for name, row in experiment.ROWS.items():
+    if row.balance is not None:
+        out = row.balance(balancers.BalanceRequest(data, seed=1), config,
+                          ckpt if row.use_cbn is not None else None)
+        assert np.bincount(out.labels).tolist() == [40, 40, 40], name
+calls = np.bincount(tracer.arrays()[1], minlength=len(tracer.names))
+print(json.dumps({"problems": tracer.check(),
+                  "calls": {name: int(calls[i]) for i, name in enumerate(tracer.names)}}))
+"""
+
+
+def run_traced(script: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["problems"] == []
+    return report
+
+
+def test_tracer_installs_and_times_the_training_step():
+    report = run_traced(SCRIPT)
     steps = 2 * 3
     for name in TRAINING_SPANS:
         assert report["calls"][name] >= (1 if name == "model.train" else steps), name
+
+
+def test_tracer_times_every_balancer_the_row_table_calls():
+    report = run_traced(ROWS_SCRIPT)
+    for method in ("random_oversample", "smote", "borderline_smote", "kmeans_smote",
+                   "svm_smote", "generative_balance"):
+        # one row per oversampler, two generator rows
+        expected = 2 if method == "generative_balance" else 1
+        assert report["calls"][f"balancers.{method}"] == expected, method

@@ -80,6 +80,56 @@ class TestExitCodes:
         rc = main(["train-gen", "--out-dir", str(out), "--seed", "3"] + FAST_FLAGS)
         assert rc == EXIT_TRAINING
 
+    def test_missing_config_file_is_two(self, tmp_path):
+        assert main(["count", "--config", str(tmp_path / "missing.json")]) == EXIT_DATA
+
+    def test_non_utf8_config_file_is_two(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"out_dir": "caf\xe9"}')
+        assert main(["count", "--config", str(path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],  # not an object
+        {"sed": 1},  # unknown key
+        {"seed": "x"},  # ill-typed int
+        {"seed": True},
+        {"lr": "fast"},  # ill-typed float
+        {"emit_svg": 1},  # ill-typed bool
+        {"hidden_widths": "60,60"},  # ill-typed tuple
+        {"pad_to": "123"},  # ill-typed int | None
+        {"taxonomy_path": 3},  # ill-typed str | None
+    ], ids=["array", "unknown-key", "str-seed", "bool-seed", "str-lr", "int-flag",
+            "str-widths", "str-pad", "int-taxonomy"])
+    def test_bad_config_is_two(self, tmp_path, payload, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["count", "--config", str(path)]) == EXIT_DATA
+        assert "experiment config" in capsys.readouterr().err
+
+    def test_config_with_nulls_and_integer_floats_is_zero(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pad_to": None, "taxonomy_path": None,
+                                    "max_depth": None, "lr": 1, "hidden_widths": [8]}))
+        assert main(["count", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_label_past_the_classes_is_two(self, corpus_files, tmp_path, split, fmt,
+                                           capsys):
+        from c2bnvae.nslkdd import load_dataset, save_dataset
+
+        train, test = corpus_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
+                                      "out_dir": str(tmp_path), "dataset_format": fmt}))
+        assert main(["preprocess", "--config", str(config)]) == EXIT_OK
+        path = tmp_path / "encoded" / f"{split}.{'c2ds' if fmt == 'binary' else 'csv'}"
+        dataset = load_dataset(path)
+        dataset.labels[0] = 7
+        save_dataset(dataset, path, fmt=fmt)
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        assert "labels must be below 5" in capsys.readouterr().err
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "preprocess" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from c2bnvae.errors import DataError
-from c2bnvae.experiment import (ALGORITHMS, ExperimentConfig, count_report,
+from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
                                 load_encoded, load_reports, manifest_line,
                                 preprocess, run_all, stage_seed,
                                 stratified_subsample, write_trace_csv)
@@ -116,7 +116,9 @@ class TestRunAll:
 
     def test_all_rows_present_in_published_order(self, completed):
         _, rows = completed
-        assert tuple(name for name, _ in rows) == ALGORITHMS
+        assert tuple(name for name, _ in rows) == tuple(ROWS) == (
+            "Original imbalanced Data", "Random oversampling", "SMOTE",
+            "Borderline SMOTE", "KMeans SMOTE", "SVM SMOTE", "CVAE", "C2BNVAE")
 
     def test_all_rows_succeed_on_corpus(self, completed):
         _, rows = completed

@@ -6,7 +6,7 @@ import pytest
 
 from c2bnvae.errors import DataError, LabelError
 from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMAT_VERSION, DATASET_MAGIC,
-                            EncodedDataset, EncodingSchema,
+                            NUM_CATEGORIES, EncodedDataset, EncodingSchema,
                             class_counts, default_taxonomy, fit_schema,
                             inverse_transform, load_dataset, load_schema,
                             load_taxonomy, map_attack, parse_records,
@@ -359,6 +359,12 @@ class TestMalformedDatasets:
         with pytest.raises(DataError, match="nonnegative"):
             load_dataset(self.rewrite(path, lines))
 
+    def test_csv_label_past_the_classes(self, csv_lines):
+        path, lines = csv_lines
+        lines[2] = f"{NUM_CATEGORIES}" + lines[2][lines[2].index(","):]
+        with pytest.raises(DataError, match=f"below {NUM_CATEGORIES}"):
+            load_dataset(self.rewrite(path, lines))
+
     def test_csv_non_finite_feature(self, csv_lines):
         path, lines = csv_lines
         lines[2] = lines[2][:lines[2].rindex(",")] + ",nan"
@@ -423,6 +429,12 @@ class TestMalformedDatasets:
         labels = small.labels.copy()
         labels[1] = -3
         with pytest.raises(DataError, match="nonnegative"):
+            load_dataset(self.binary(small, tmp_path, labels=labels))
+
+    def test_binary_label_past_the_classes(self, small, tmp_path):
+        labels = small.labels.copy()
+        labels[1] = 7
+        with pytest.raises(DataError, match=f"below {NUM_CATEGORIES}"):
             load_dataset(self.binary(small, tmp_path, labels=labels))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
