@@ -213,7 +213,7 @@ class Tensor:
         return Tensor._op(out_data, (self,), backward)
 
     def take_rows(self, indices: Array) -> "Tensor":
-        """Row gather: out[i] = self[indices[i]]. Backward scatter-adds."""
+        """Gather rows: out[i] = self[indices[i]]. Backward scatter-adds."""
         idx = np.asarray(indices)
 
         def backward(g: Array, a=self, i=idx) -> None:

@@ -32,10 +32,17 @@ def _build_config(config_path: str | None, **overrides) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     provided = {k: v for k, v in overrides.items() if v is not None}
-    if "hidden_widths" in provided:
-        provided["hidden_widths"] = [int(w) for w in
-                                     provided["hidden_widths"].split(",")]
     return ExperimentConfig.from_dict({**config.to_dict(), **provided})
+
+
+def _parse_widths(ctx, param, value: str | None) -> list[int] | None:
+    """``--hidden 60,60`` as a list of ints; a usage error otherwise."""
+    if value is None:
+        return None
+    try:
+        return [int(w) for w in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
 CONFIG_OPTION = click.option("--config", "config_path", type=click.Path(),
@@ -92,7 +99,7 @@ def cmd_preprocess(config_path, **overrides) -> None:
 @click.option("--batch-size", type=int, default=None)
 @click.option("--lr", type=float, default=None)
 @click.option("--latent-dim", type=int, default=None)
-@click.option("--hidden", "hidden_widths", default=None,
+@click.option("--hidden", "hidden_widths", default=None, callback=_parse_widths,
               help="Comma-separated hidden widths, e.g. 60,60,60,60.")
 @click.option("--kl-weight", type=float, default=None)
 @click.option("--cbn-placement", type=click.Choice(["decoder_only",
@@ -143,7 +150,7 @@ def cmd_run_all(config_path, **overrides) -> None:
 @click.option("--feature-dim", type=int, default=123,
               help="Input width (123 = padded, 122 = raw standard encoding).")
 @click.option("--latent-dim", type=int, default=None)
-@click.option("--hidden", "hidden_widths", default=None,
+@click.option("--hidden", "hidden_widths", default=None, callback=_parse_widths,
               help="Comma-separated hidden widths.")
 def cmd_count(config_path, feature_dim, **overrides) -> None:
     """Print the parameter/FLOP table under both counting conventions."""

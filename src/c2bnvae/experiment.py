@@ -20,7 +20,7 @@ import logging
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,31 +40,26 @@ from .nslkdd import (CATEGORY_NAMES, NUM_CATEGORIES, EncodedDataset,
 
 logger = logging.getLogger(__name__)
 
-class Row(NamedTuple):
-    """How one result row balances the training set: ``balance(request,
-    config, checkpoint)``, or None to keep it as it is. A generator row sets
-    ``use_cbn`` for the generator it trains, and its ``balance`` receives that
-    generator's checkpoint; the other rows receive None."""
-    balance: Callable | None
-    use_cbn: bool | None = None
-
-
-# result rows in the published order. Each row looks its balancer up on the
-# module when it runs, never at import, so that a wrapper put on
-# ``balancers.<name>`` later (the benchmark's timing spans) sees the call.
-ROWS = {
-    "Original imbalanced Data": Row(None),
-    "Random oversampling": Row(lambda req, cfg, ck: bal.random_oversample(req)),
-    "SMOTE": Row(lambda req, cfg, ck: bal.smote(req, k=cfg.smote_k)),
-    "Borderline SMOTE": Row(lambda req, cfg, ck: bal.borderline_smote(
-        req, k=cfg.smote_k, m=cfg.borderline_m)),
-    "KMeans SMOTE": Row(lambda req, cfg, ck: bal.kmeans_smote(
+# result rows in the published order: row name -> ``balance(request, config)``,
+# or None to keep the training set as it is. A generator row trains (or
+# reuses) its generator when it runs. Each entry looks its balancer and the
+# generator trainer up on their modules when it runs, never at import, so
+# that a wrapper put on ``balancers.<name>`` later (the benchmark's timing
+# spans) sees the call.
+ROWS: dict[str, Callable | None] = {
+    "Original imbalanced Data": None,
+    "Random oversampling": lambda req, cfg: bal.random_oversample(req),
+    "SMOTE": lambda req, cfg: bal.smote(req, k=cfg.smote_k),
+    "Borderline SMOTE": lambda req, cfg: bal.borderline_smote(
+        req, k=cfg.smote_k, m=cfg.borderline_m),
+    "KMeans SMOTE": lambda req, cfg: bal.kmeans_smote(
         req, k=cfg.smote_k, n_clusters=cfg.kmeans_clusters,
-        imbalance_threshold=cfg.kmeans_threshold)),
-    "SVM SMOTE": Row(lambda req, cfg, ck: bal.svm_smote(req, k=cfg.smote_k,
-                                                        penalty=cfg.svm_penalty)),
-    "CVAE": Row(lambda req, cfg, ck: bal.generative_balance(req, ck), use_cbn=False),
-    "C2BNVAE": Row(lambda req, cfg, ck: bal.generative_balance(req, ck), use_cbn=True),
+        imbalance_threshold=cfg.kmeans_threshold),
+    "SVM SMOTE": lambda req, cfg: bal.svm_smote(req, k=cfg.smote_k, penalty=cfg.svm_penalty),
+    "CVAE": lambda req, cfg: bal.generative_balance(
+        req, train_generator(cfg, req.dataset, use_cbn=False)[0]),
+    "C2BNVAE": lambda req, cfg: bal.generative_balance(
+        req, train_generator(cfg, req.dataset, use_cbn=True)[0]),
 }
 
 
@@ -295,36 +290,22 @@ def _slug(name: str) -> str:
 def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     """Balance with every method, train the tree, evaluate, write artifacts.
 
-    A failing algorithm contributes a reason string instead of a report; the
-    other rows still run.
+    A failing row (its balancer, its generator's training or its tree)
+    contributes the exception text instead of a report; the other rows
+    still run.
     """
     train_set, test_set = load_encoded(config)
     results_dir = config.results_dir()
     results_dir.mkdir(parents=True, exist_ok=True)
 
-    checkpoints: dict[str, Checkpoint] = {}
-    generator_failures: dict[str, str] = {}
-    for name, row in ROWS.items():
-        if row.use_cbn is None:
-            continue
-        try:
-            ckpt, _, _ = train_generator(config, train_set, row.use_cbn)
-            checkpoints[name] = ckpt
-        except Exception as exc:  # the row records the failure below
-            logger.warning("generator %s failed: %s", name, exc)
-            generator_failures[name] = f"generator training failed: {exc}"
-
     rows: list[tuple[str, EvalReport | str]] = []
     params = config.tree_params()
-    for name, row in ROWS.items():
+    for name, balance in ROWS.items():
         try:
-            if name in generator_failures:
-                raise DataError(generator_failures[name])
             seed = stage_seed(config.seed, f"balance.{name}")
             balanced = train_set
-            if row.balance is not None:
-                request = bal.BalanceRequest(train_set, seed=seed)
-                balanced = row.balance(request, config, checkpoints.get(name))
+            if balance is not None:
+                balanced = balance(bal.BalanceRequest(train_set, seed=seed), config)
             tree = dtree.fit(balanced.features, balanced.labels, params)
             predictions = dtree.predict(tree, test_set.features)
             cm = confusion(test_set.labels, predictions, NUM_CATEGORIES)
@@ -332,7 +313,7 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             rows.append((name, report))
             path = results_dir / f"{_slug(name)}.json"
             path.write_text(report.to_json(manifest=manifest_for(config, "run-all")))
-            if row.balance is None:
+            if balance is None:
                 continue
             if config.save_balanced:
                 save_dataset(balanced, results_dir / f"balanced_{_slug(name)}.c2ds",

@@ -46,7 +46,8 @@ def kl_gaussian(mu, logvar) -> np.float64:
     m, lv = _pair("kl_gaussian", mu, logvar)
     lv = np.clip(lv, LOGVAR_MIN, LOGVAR_MAX)
     per_sample = ((lv + 1.0) + m ** 2.0 * -1.0 + np.exp(lv) * -1.0).sum(axis=1) * -0.5
-    return per_sample.sum() * (1.0 / per_sample.size)
+    # a true KL is never negative; rounding can leave a -1e-17 near the prior
+    return np.maximum(per_sample.sum() * (1.0 / per_sample.size), 0.0)
 
 
 def kl_gaussian_grad(mu: Array, logvar: Array, scale: float) -> tuple[Array, Array]:

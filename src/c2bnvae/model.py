@@ -3,8 +3,9 @@
 The class label conditions the model twice: it is one-hot concatenated onto
 the encoder input and onto the latent code fed to the decoder, and it
 selects the per-class affine pair inside each conditional normalization
-layer. Setting ``use_cbn=False`` swaps the conditional layers for plain
-batch normalization of the same width, which is the standard-CVAE baseline.
+layer. Setting ``use_cbn=False`` gives each normalization layer a single
+affine pair and feeds it class 0 for every row, which is plain batch
+normalization: the standard-CVAE baseline.
 
 Layout (defaults reproduce the published shapes when feature_dim=123,
 num_classes=5): encoder runs feature+label through four LeakyReLU hidden
@@ -17,7 +18,8 @@ matching min-max scaled features.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +28,8 @@ from .costing import LinearSpec, NormSpec
 from .errors import DataError, LabelError, ShapeError, TrainingDiverged
 from .losses import (LOGVAR_MAX, LOGVAR_MIN, kl_gaussian, kl_gaussian_grad, mse_loss,
                      mse_loss_grad)
-from .nn import (BatchNorm1d, CondBatchNorm1d, Linear, check_labels, flatten_parameters,
-                 leaky_relu, leaky_relu_grad, one_hot, sigmoid, sigmoid_grad)
+from .nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters, leaky_relu,
+                 leaky_relu_grad, one_hot, sigmoid, sigmoid_grad)
 from .optim import Adam
 
 Array = np.ndarray
@@ -122,22 +124,7 @@ class ModelConfig:
         return {"encoder": enc, "decoder": dec}
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "latent_dim": self.latent_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "kl_weight": self.kl_weight,
-            "cbn_placement": self.cbn_placement,
-            "use_cbn": self.use_cbn,
-            "leaky_slope": self.leaky_slope,
-            "norm_eps": self.norm_eps,
-            "norm_momentum": self.norm_momentum,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -192,23 +179,17 @@ class C2BNVAE:
         self.config = config
         rng = _derive_rngs(config.seed)[0]
         widths = config.hidden_widths
-        c = config.num_classes
-
-        def norm_layer(width: int):
-            if config.use_cbn:
-                return CondBatchNorm1d(c, width, eps=config.norm_eps,
-                                       momentum=config.norm_momentum)
-            return BatchNorm1d(width, eps=config.norm_eps, momentum=config.norm_momentum)
-
+        norm_layer = partial(CondBatchNorm1d, config.num_classes if config.use_cbn else 1,
+                             widths[-1], eps=config.norm_eps, momentum=config.norm_momentum)
         dims = (config.encoder_input_dim,) + widths
         self.enc_linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
-        self.enc_norm = (norm_layer(widths[-1])
+        self.enc_norm = (norm_layer()
                          if config.cbn_placement == "encoder_and_decoder" else None)
         self.mu_head = Linear(widths[-1], config.latent_dim, rng)
         self.logvar_head = Linear(widths[-1], config.latent_dim, rng)
         dims = (config.decoder_input_dim,) + widths
         self.dec_linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
-        self.dec_norm = norm_layer(widths[-1])
+        self.dec_norm = norm_layer()
         self.out_layer = Linear(widths[-1], config.feature_dim, rng)
         self.params, self.grads = flatten_parameters(
             [layer for _, layer in self._named_layers()])
@@ -275,11 +256,10 @@ class C2BNVAE:
                                     input_grad=input_grad or i > 0)
         return g
 
-    @staticmethod
-    def _apply_norm(layer, h: Array, labels: Array, training: bool) -> Array:
-        if isinstance(layer, BatchNorm1d):
-            return layer(h, training)
-        return layer(h, labels, training)
+    def _banks(self, labels: Array) -> Array:
+        """The normalization bank of each row: its class, or the one shared
+        bank 0 of plain batch normalization."""
+        return labels if self.config.use_cbn else np.zeros_like(labels)
 
     def encode(self, x, labels: Array, training: bool = False) -> tuple[Array, Array]:
         """Posterior mean and clipped log-variance of each row."""
@@ -288,7 +268,7 @@ class C2BNVAE:
         h = np.concatenate([x, one_hot(labels, self.config.num_classes)], axis=1)
         h, self._enc_pre = self._hidden(self.enc_linears, h)
         if self.enc_norm is not None:
-            h = self._apply_norm(self.enc_norm, h, labels, training)
+            h = self.enc_norm(h, self._banks(labels), training)
         mu = self.mu_head(h)
         raw = self.logvar_head(h)
         self._logvar_kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
@@ -300,7 +280,7 @@ class C2BNVAE:
                                  "decoder expects latents")
         h = np.concatenate([z, one_hot(labels, self.config.num_classes)], axis=1)
         h, self._dec_pre = self._hidden(self.dec_linears, h)
-        h = self._apply_norm(self.dec_norm, h, labels, training)
+        h = self.dec_norm(h, self._banks(labels), training)
         return sigmoid(self.out_layer(h))
 
     def loss(self, x, x_hat, mu, logvar) -> tuple[float, float, float]:
@@ -342,26 +322,16 @@ class C2BNVAE:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "C2BNVAE":
         model = cls(ckpt.config)
-        named = model.named_parameters()
-        if set(named) != set(ckpt.params):
-            raise DataError("checkpoint parameters do not match the configured architecture")
-        for name, view in named.items():
-            value = np.asarray(ckpt.params[name], dtype=np.float64)
-            if value.shape != view.shape:
-                raise DataError(f"checkpoint parameter {name} has shape {value.shape}, "
-                                f"expected {view.shape}")
-            view[...] = value  # write into the flat buffer; rebinding would detach it
-        if set(model.named_stats()) != set(ckpt.stats):
-            raise DataError("checkpoint statistics do not match the configured architecture")
-        for layer_name, layer in model._named_layers():
-            if not isinstance(layer, CondBatchNorm1d):
-                continue
-            for attr in ("running_mean", "running_var"):
-                value = np.asarray(ckpt.stats[f"{layer_name}.{attr}"], dtype=np.float64)
-                if value.shape != (layer.width,):
-                    raise DataError(f"checkpoint statistic {layer_name}.{attr} has shape "
-                                    f"{value.shape}, expected {(layer.width,)}")
-                setattr(layer, attr, value.copy())
+        for what, targets, values in (("parameter", model.named_parameters(), ckpt.params),
+                                      ("statistic", model.named_stats(), ckpt.stats)):
+            if set(targets) != set(values):
+                raise DataError(f"checkpoint {what}s do not match the configured architecture")
+            for name, target in targets.items():
+                value = np.asarray(values[name], dtype=np.float64)
+                if value.shape != target.shape:
+                    raise DataError(f"checkpoint {what} {name} has shape {value.shape}, "
+                                    f"expected {target.shape}")
+                target[...] = value  # write into the layer's array; rebinding would detach it
         return model
 
 

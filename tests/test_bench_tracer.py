@@ -45,16 +45,18 @@ TRAINING_SPANS = ("model.train", "model.encode", "model.decode", "model.reparame
 
 
 # every row of the experiment's row table on a tiny 3-class dataset, after
-# the tracer has wrapped ``balancers.<name>``
+# the tracer has wrapped ``balancers.<name>``; the generator rows train a
+# tiny generator each into a temporary output directory
 ROWS_SCRIPT = """
 import json
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, "bench")
 import spans
-from c2bnvae import balancers, experiment, model
+from c2bnvae import balancers, experiment
 from c2bnvae.nslkdd import EncodedDataset, synthetic_schema
 
 tracer = spans.Tracer()
@@ -65,15 +67,14 @@ centers = np.repeat([[0.2] * 6, [0.5] * 6, [0.8] * 6], [40, 12, 8], axis=0)
 data = EncodedDataset(features=np.clip(centers + rng.normal(0, 0.05, centers.shape), 0, 1),
                       labels=np.repeat([0, 1, 2], [40, 12, 8]),
                       schema=synthetic_schema(6))
-ckpt, _ = model.train(data, model.ModelConfig(feature_dim=6, num_classes=3, latent_dim=2,
-                                              hidden_widths=(5, 5), epochs=1,
-                                              batch_size=16))
-config = experiment.ExperimentConfig(smote_k=3, borderline_m=5, kmeans_clusters=3)
-for name, row in experiment.ROWS.items():
-    if row.balance is not None:
-        out = row.balance(balancers.BalanceRequest(data, seed=1), config,
-                          ckpt if row.use_cbn is not None else None)
-        assert np.bincount(out.labels).tolist() == [40, 40, 40], name
+with tempfile.TemporaryDirectory() as out_dir:
+    config = experiment.ExperimentConfig(out_dir=out_dir, smote_k=3, borderline_m=5,
+                                         kmeans_clusters=3, latent_dim=2,
+                                         hidden_widths=(5, 5), epochs=1, batch_size=16)
+    for name, balance in experiment.ROWS.items():
+        if balance is not None:
+            out = balance(balancers.BalanceRequest(data, seed=1), config)
+            assert np.bincount(out.labels).tolist() == [40, 40, 40], name
 calls = np.bincount(tracer.arrays()[1], minlength=len(tracer.names))
 print(json.dumps({"problems": tracer.check(),
                   "calls": {name: int(calls[i]) for i, name in enumerate(tracer.names)}}))
@@ -104,3 +105,5 @@ def test_tracer_times_every_balancer_the_row_table_calls():
         # one row per oversampler, two generator rows
         expected = 2 if method == "generative_balance" else 1
         assert report["calls"][f"balancers.{method}"] == expected, method
+    # each generator row trains its own generator when it runs
+    assert report["calls"]["model.train"] == 2

@@ -130,6 +130,14 @@ class TestExitCodes:
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "labels must be below 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "train-gen"])
+    @pytest.mark.parametrize("widths", ["8,x", "", "8,,8", "6.5"])
+    def test_bad_hidden_widths_is_one(self, command, widths, capsys):
+        # the widths are parsed with the flags, before any file is read
+        rc = main([command, "--hidden", widths])
+        assert rc == EXIT_USAGE
+        assert "--hidden" in capsys.readouterr().err
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "preprocess" in capsys.readouterr().out
@@ -272,6 +280,10 @@ class TestCountCommand:
         # heads (20p/16f); decoder: 7->4, norm, 4->6 out
         assert "76" in out
         assert "70" in out
+
+    def test_hidden_widths_reach_the_table(self, capsys):
+        assert main(["count", "--hidden", "8,16"]) == EXIT_OK
+        assert "hidden=[8, 16]" in capsys.readouterr().out
 
 
 class TestReportCommand:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c2bnvae.errors import ShapeError
@@ -51,6 +51,7 @@ class TestKl:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
                     min_size=1, max_size=8))
+    @example([(0.0, -1.3737756355587687e-15)])  # rounds to -5.55e-17 unclipped
     def test_nonnegative_everywhere(self, pairs):
         mu = np.array([[m for m, _ in pairs]])
         logvar = np.array([[v for _, v in pairs]])

@@ -325,6 +325,33 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="float64"):
             load_checkpoint(broken)
 
+    def test_model_from_checkpoint_round_trips_bitwise(self):
+        ckpt = self.make_checkpoint()
+        again = C2BNVAE.from_checkpoint(ckpt).to_checkpoint(ckpt.schema_fingerprint)
+        assert checkpoint_bytes(again) == checkpoint_bytes(ckpt)
+
+    @pytest.mark.parametrize("case, match", [
+        ("unknown parameter", "parameters do not match"),
+        ("parameter shape", r"parameter dec\.out\.b has shape \(7,\)"),
+        ("missing statistic", "statistics do not match"),
+        ("statistic shape", r"statistic enc\.norm\.running_mean has shape \(3,\)"),
+    ])
+    def test_from_checkpoint_rejects_mismatched_arrays(self, case, match):
+        ckpt = self.make_checkpoint()
+        params, stats = dict(ckpt.params), dict(ckpt.stats)
+        if case == "unknown parameter":
+            params["enc.extra.W"] = np.zeros((2, 2))
+        elif case == "parameter shape":
+            params["dec.out.b"] = np.zeros(7)
+        elif case == "missing statistic":
+            del stats["dec.norm.running_var"]
+        else:
+            stats["enc.norm.running_mean"] = np.zeros(3)
+        broken = Checkpoint(config=ckpt.config, params=params, stats=stats,
+                            schema_fingerprint=ckpt.schema_fingerprint)
+        with pytest.raises(DataError, match=match):
+            C2BNVAE.from_checkpoint(broken)
+
     def test_fingerprint_required(self):
         with pytest.raises(DataError):
             Checkpoint(config=blob_config(), params={}, stats={}, schema_fingerprint="")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from c2bnvae.errors import LabelError, ShapeError
-from c2bnvae.nn import (BatchNorm1d, CondBatchNorm1d, Linear, check_labels,
-                        flatten_parameters, he_init, leaky_relu, one_hot)
+from c2bnvae.model import C2BNVAE, ModelConfig
+from c2bnvae.nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters,
+                        he_init, leaky_relu, one_hot)
 
 from helpers import assert_grads_close, finite_diff_grads
 
@@ -157,13 +158,13 @@ class TestCondBatchNorm:
         gamma = rng.normal(size=width)
         beta = rng.normal(size=width)
         bank = make_cbn(np.tile(gamma, (classes, 1)), np.tile(beta, (classes, 1)), eps=1e-5)
-        bn = BatchNorm1d(width, eps=1e-5)
+        bn = CondBatchNorm1d(1, width, eps=1e-5)
         bn.gamma[...] = gamma[None, :]
         bn.beta[...] = beta[None, :]
         x = rng.normal(size=(32, width))
         labels = rng.integers(0, classes, size=32)
         out_cbn = bank(x, labels, training=True)
-        out_bn = bn(x, training=True)
+        out_bn = bn(x, np.zeros(32, dtype=int), training=True)
         assert np.array_equal(out_cbn, out_bn)
 
     def test_gradients_flow_through_batch_statistics(self):
@@ -184,26 +185,33 @@ class TestCondBatchNorm:
 
 
 class TestBatchNorm:
+    """Plain batch normalization: one bank, every row fed class 0."""
+
     def test_hand_example(self):
-        bn = BatchNorm1d(1, eps=1e-12)
+        bn = CondBatchNorm1d(1, 1, eps=1e-12)
         bn.gamma[...] = np.array([[2.0]])
         bn.beta[...] = np.array([[1.0]])
-        out = bn(np.array([[1.0], [3.0]]), training=True)
+        out = bn(np.array([[1.0], [3.0]]), np.zeros(2, dtype=int), training=True)
         np.testing.assert_allclose(out, [[-1.0], [3.0]], atol=1e-9)
 
     def test_identity_on_standardized_input(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        bn = BatchNorm1d(3, eps=1e-12)
-        np.testing.assert_allclose(bn(x, training=True), x, atol=1e-6)
+        bn = CondBatchNorm1d(1, 3, eps=1e-12)
+        np.testing.assert_allclose(bn(x, np.zeros(50, dtype=int), training=True), x,
+                                   atol=1e-6)
 
     def test_equals_single_class_cbn(self):
+        # the plain-BN generator holds one-bank layers and feeds them class 0
         rng = np.random.default_rng(12)
         x = rng.normal(size=(16, 4))
-        bn = BatchNorm1d(4)
+        model = C2BNVAE(ModelConfig(feature_dim=3, num_classes=5, latent_dim=2,
+                                    hidden_widths=(4,), use_cbn=False))
+        assert model.enc_norm.gamma.shape == model.dec_norm.gamma.shape == (1, 4)
         bank = CondBatchNorm1d(1, 4)
-        out_bn = bn(x, training=True)
+        out_bn = model.dec_norm(x, model._banks(rng.integers(0, 5, size=16)),
+                                training=True)
         out_cbn = bank(x, np.zeros(16, dtype=int), training=True)
         assert np.array_equal(out_bn, out_cbn)
 

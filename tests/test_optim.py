@@ -2,54 +2,57 @@ import numpy as np
 import pytest
 
 from c2bnvae.errors import ShapeError
-from c2bnvae.optim import Adam, AdamState, adam_step
+from c2bnvae.optim import Adam
 
 from model_reference import adam_step as adam_step_per_array
 
 
+def step_with(opt: Adam, grads) -> None:
+    opt.grads[...] = grads
+    opt.step()
+
+
 def test_zero_gradient_is_identity():
     params = np.array([1.0, -2.0, 3.0])
-    state = AdamState.for_params(params)
+    opt = Adam(params, np.zeros(3), lr=0.5)
     before = params.copy()
-    adam_step(params, np.zeros(3), state, lr=0.5)
+    step_with(opt, np.zeros(3))
     assert np.array_equal(params, before)
-    assert state.step_count == 1
+    assert opt.step_count == 1
 
 
 def test_hand_oracle_two_steps():
     # bias correction makes m_hat = v_hat = 1 on a constant unit gradient,
     # so each step moves the parameter by almost exactly lr
     params = np.array([1.0])
-    state = AdamState.for_params(params)
-    adam_step(params, np.array([1.0]), state, lr=0.1)
+    opt = Adam(params, np.zeros(1), lr=0.1)
+    step_with(opt, np.array([1.0]))
     assert abs((1.0 - params[0]) - 0.1) < 1e-6
     assert params[0] == pytest.approx(0.9, abs=1e-6)
-    adam_step(params, np.array([1.0]), state, lr=0.1)
+    step_with(opt, np.array([1.0]))
     assert params[0] == pytest.approx(0.8, abs=1e-6)
-    assert state.step_count == 2
+    assert opt.step_count == 2
 
 
 def test_shape_mismatch_rejected():
-    params = np.zeros(3)
-    state = AdamState.for_params(params)
     with pytest.raises(ShapeError):
-        adam_step(params, np.zeros(4), state, lr=0.1)
+        Adam(np.zeros(3), np.zeros(4), lr=0.1)
+    with pytest.raises(ShapeError):  # same size, other shape
+        Adam(np.zeros(3), np.zeros((3, 1)), lr=0.1)
 
 
 def test_learning_rate_validated():
-    params = np.zeros(1)
-    state = AdamState.for_params(params)
     with pytest.raises(ShapeError):
-        adam_step(params, np.zeros(1), state, lr=0.0)
+        Adam(np.zeros(1), np.zeros(1), lr=0.0)
 
 
 def test_second_moment_stays_nonnegative():
     params = np.array([0.5])
-    state = AdamState.for_params(params)
+    opt = Adam(params, np.zeros(1), lr=0.01)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        adam_step(params, rng.normal(size=1), state, lr=0.01)
-    assert np.all(state.second_moment >= 0.0)
+        step_with(opt, rng.normal(size=1))
+    assert np.all(opt.second_moment >= 0.0)
 
 
 def test_wrapper_steps_from_gradient_buffer():
