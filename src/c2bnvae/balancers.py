@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .errors import DataError, LabelError, ShapeError
+from .errors import ConvergenceError, DataError, LabelError, ShapeError
 from .nslkdd import EncodedDataset
 
 Array = np.ndarray
@@ -126,7 +126,10 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator,
         if total <= 0:
             centers[j] = points[rng.integers(n)]
         else:
-            centers[j] = points[np.searchsorted(np.cumsum(d2 / total), rng.random())]
+            pick = np.searchsorted(np.cumsum(d2 / total), rng.random())
+            if pick == n:  # the rounded cumsum ended below the draw
+                pick = np.flatnonzero(d2)[-1]
+            centers[j] = points[pick]
         d2 = np.minimum(d2, _sq_dists(points, centers[j:j + 1])[:, 0])
     assign = np.full(n, -1, dtype=np.int64)
     for _iteration in range(max_iter):
@@ -141,39 +144,79 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator,
     return assign
 
 
-def _linear_svm_sgd(features: Array, signs: Array, penalty: float,
-                    rng: np.random.Generator, epochs: int = 20) -> Array:
-    """Soft-margin linear SVM by seeded stochastic subgradient descent.
+SVM_MAX_ITER = 100  # backstop only: the Newton loop ends in finitely many steps
 
-    Schedule: lambda = 1/(penalty*n), step 1/(lambda*t), one shuffled pass
-    per epoch, and the iterate average is returned (the raw last iterate is
-    too noisy to define a stable margin). Weights are augmented; the last
-    entry is the bias term.
+
+def _margins(features: Array, signs: Array, w: Array) -> Array:
+    """y_i * (x_i . w) with the bias as the last entry of ``w``."""
+    return signs * (features @ w[:-1] + w[-1])
+
+
+def _newton_point(features: Array, signs: Array, penalty: float) -> Array:
+    """Minimiser of the squared hinge with every given row active: the
+    solution of (X^T X + I/C) w = X^T y over rows augmented with a 1."""
+    d = features.shape[1]
+    system = np.empty((d + 1, d + 1))
+    system[:d, :d] = features.T @ features
+    system[:d, d] = system[d, :d] = features.sum(axis=0)
+    system[d, d] = len(features)
+    system.flat[::d + 2] += 1.0 / penalty
+    return np.linalg.solve(system, np.append(features.T @ signs, signs.sum()))
+
+
+def _line_search(features: Array, signs: Array, penalty: float,
+                 w: Array, step: Array) -> float:
+    """Exact minimiser t > 0 of the objective along ``w + t*step``.
+
+    Along the line each margin is o_i + t*s_i, and the derivative of the
+    objective is piecewise linear and increasing in t, with a breakpoint
+    where a margin crosses 1 (Keerthi & DeCoste 2005). Walking the sorted
+    breakpoints, the root lies in the first segment whose derivative is
+    nonnegative at its end.
     """
-    n = len(features)
-    augmented = np.hstack([features, np.ones((n, 1))])
-    lam = 1.0 / (penalty * n)
-    radius = 1.0 / np.sqrt(lam)  # the optimum lies inside this ball
-    w = np.zeros(augmented.shape[1])
-    w_sum = np.zeros_like(w)
-    averaged = 0
-    total = epochs * n
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = signs[i] * (augmented[i] @ w)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * signs[i] * augmented[i]
-            norm = np.linalg.norm(w)
-            if norm > radius:
-                w *= radius / norm
-            if 2 * t > total:  # suffix average over the second half
-                w_sum += w
-                averaged += 1
-    return w_sum / averaged
+    o = _margins(features, signs, w)
+    s = _margins(features, signs, step)
+    active = o < 1.0
+    slope = w @ step / penalty - s[active] @ (1.0 - o[active])
+    curvature = step @ step / penalty + s[active] @ s[active]
+    # rows that leave the active set (margin rises through 1) or enter it
+    crossing = (active & (s > 0)) | (~active & (s < 0))
+    at = (1.0 - o[crossing]) / s[crossing]
+    order = np.argsort(at, kind="stable")
+    leaves = np.where(active[crossing], 1.0, -1.0)[order]
+    s_c, o_c = s[crossing][order], o[crossing][order]
+    slope = np.append(slope, slope + np.cumsum(leaves * s_c * (1.0 - o_c)))
+    curvature = np.append(curvature, curvature - np.cumsum(leaves * s_c * s_c))
+    ends = np.append(at[order], np.inf)
+    segment = np.argmax(slope + curvature * ends >= 0.0)
+    return -slope[segment] / curvature[segment]
+
+
+def _linear_svm(features: Array, signs: Array, penalty: float) -> Array:
+    """Soft-margin linear L2-SVM, solved in the primal by Newton's method.
+
+    Minimises 1/(2C)*||w||^2 + 1/2*sum_i max(0, 1 - y_i*(x_i . w))^2 with
+    C = ``penalty``; ``w`` is augmented with the bias as its last entry, and
+    the bias is regularised with the rest. Each iteration takes the Newton
+    point of the rows whose margin is below 1 (the active set) at the
+    current iterate (Chapelle 2007). When the active set of that point is
+    the same set, the point is the unique minimiser and is returned;
+    otherwise an exact line search moves toward it, so the objective falls
+    at every step and the loop ends after finitely many. No random numbers
+    are drawn. Raises ConvergenceError after ``SVM_MAX_ITER`` iterations.
+    """
+    w = np.zeros(features.shape[1] + 1)
+    active = np.ones(len(features), dtype=bool)  # every margin of w = 0 is 0
+    for _ in range(SVM_MAX_ITER):
+        w_bar = _newton_point(features[active], signs[active], penalty)
+        reached = _margins(features, signs, w_bar) < 1.0
+        if np.array_equal(reached, active):
+            return w_bar
+        step = w_bar - w
+        w = w + _line_search(features, signs, penalty, w, step) * step
+        active = _margins(features, signs, w) < 1.0
+    raise ConvergenceError(f"linear SVM did not converge in {SVM_MAX_ITER} "
+                           f"Newton iterations")
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +358,12 @@ def _apportion(total: int, fractions: Array) -> Array:
 def svm_smote(request: BalanceRequest, k: int = 5, penalty: float = 1.0) -> EncodedDataset:
     """SMOTE seeded from the class's support vectors of a one-vs-rest linear
     SVM (rows on or inside the margin); interpolation toward same-class
-    neighbors only (no extrapolation)."""
+    neighbors only (no extrapolation).
+
+    The SVM is the squared-hinge soft-margin problem with C = ``penalty``,
+    solved exactly by ``_linear_svm``; it draws no random numbers, so the
+    class rng feeds only the SMOTE interpolation.
+    """
     if k < 1:
         raise ShapeError(f"k must be >= 1, got {k}")
     if penalty <= 0:
@@ -328,7 +376,10 @@ def svm_smote(request: BalanceRequest, k: int = 5, penalty: float = 1.0) -> Enco
             raise DataError("SVM-SMOTE needs at least 2 samples on each side "
                             "of the one-vs-rest split")
         signs = np.where(mask, 1.0, -1.0)
-        w = _linear_svm_sgd(dataset.features, signs, penalty, rng)
+        try:
+            w = _linear_svm(dataset.features, signs, penalty)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"svm_smote: class {label}: {exc}") from None
         margins = np.hstack([rows, np.ones((len(rows), 1))]) @ w
         return _smote_from_seeds(rows, margins <= 1.0 + 1e-12, deficit, k, rng,
                                  f"svm_smote: no support vectors for class {label}")

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import CheckpointError, DataError
 from .model import CHECKPOINT_FORMAT_VERSION, Checkpoint, ModelConfig
 
@@ -49,10 +50,10 @@ def checkpoint_bytes(ckpt: Checkpoint, manifest: dict | None = None) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, sink, manifest: dict | None = None) -> None:
-    """Write to a path or a binary file object."""
+    """Write to a path (atomically) or a binary file object."""
     data = checkpoint_bytes(ckpt, manifest=manifest)
     if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(data)
+        write_atomic(sink, data)
     else:
         sink.write(data)
 

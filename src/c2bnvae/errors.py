@@ -19,3 +19,7 @@ class CheckpointError(DataError):
 
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss; message names epoch and batch."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver hit its iteration cap; message names the case."""

@@ -28,6 +28,7 @@ from . import __version__
 from . import balancers as bal
 from . import dtree
 from . import model as model_mod
+from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costing import count_params_flops
 from .errors import DataError
@@ -40,26 +41,30 @@ from .nslkdd import (CATEGORY_NAMES, NUM_CATEGORIES, EncodedDataset,
 
 logger = logging.getLogger(__name__)
 
-# result rows in the published order: row name -> ``balance(request, config)``,
-# or None to keep the training set as it is. A generator row trains (or
-# reuses) its generator when it runs. Each entry looks its balancer and the
-# generator trainer up on their modules when it runs, never at import, so
-# that a wrapper put on ``balancers.<name>`` later (the benchmark's timing
-# spans) sees the call.
-ROWS: dict[str, Callable | None] = {
+# result rows in the published order: row name -> (``balance(request,
+# config)``, the config fields that balancer reads), or None to keep the
+# training set as it is. The fields are what the row's sidecar records; a
+# generator row records none, because its checkpoint header holds its
+# settings. A generator row trains (or reuses) its generator when it runs.
+# Each entry looks its balancer and the generator trainer up on their
+# modules when it runs, never at import, so that a wrapper put on
+# ``balancers.<name>`` later (the benchmark's timing spans) sees the call.
+ROWS: dict[str, tuple[Callable, tuple[str, ...]] | None] = {
     "Original imbalanced Data": None,
-    "Random oversampling": lambda req, cfg: bal.random_oversample(req),
-    "SMOTE": lambda req, cfg: bal.smote(req, k=cfg.smote_k),
-    "Borderline SMOTE": lambda req, cfg: bal.borderline_smote(
-        req, k=cfg.smote_k, m=cfg.borderline_m),
-    "KMeans SMOTE": lambda req, cfg: bal.kmeans_smote(
+    "Random oversampling": (lambda req, cfg: bal.random_oversample(req), ()),
+    "SMOTE": (lambda req, cfg: bal.smote(req, k=cfg.smote_k), ("smote_k",)),
+    "Borderline SMOTE": (lambda req, cfg: bal.borderline_smote(
+        req, k=cfg.smote_k, m=cfg.borderline_m), ("smote_k", "borderline_m")),
+    "KMeans SMOTE": (lambda req, cfg: bal.kmeans_smote(
         req, k=cfg.smote_k, n_clusters=cfg.kmeans_clusters,
         imbalance_threshold=cfg.kmeans_threshold),
-    "SVM SMOTE": lambda req, cfg: bal.svm_smote(req, k=cfg.smote_k, penalty=cfg.svm_penalty),
-    "CVAE": lambda req, cfg: bal.generative_balance(
-        req, train_generator(cfg, req.dataset, use_cbn=False)[0]),
-    "C2BNVAE": lambda req, cfg: bal.generative_balance(
-        req, train_generator(cfg, req.dataset, use_cbn=True)[0]),
+        ("smote_k", "kmeans_clusters", "kmeans_threshold")),
+    "SVM SMOTE": (lambda req, cfg: bal.svm_smote(
+        req, k=cfg.smote_k, penalty=cfg.svm_penalty), ("smote_k", "svm_penalty")),
+    "CVAE": (lambda req, cfg: bal.generative_balance(
+        req, train_generator(cfg, req.dataset, use_cbn=False)[0]), ()),
+    "C2BNVAE": (lambda req, cfg: bal.generative_balance(
+        req, train_generator(cfg, req.dataset, use_cbn=True)[0]), ()),
 }
 
 
@@ -226,7 +231,7 @@ def preprocess(config: ExperimentConfig) -> dict:
     lines = [manifest_line(manifest)]
     lines += [f"{name} {count}" for name, count in zip(CATEGORY_NAMES, counts)]
     lines.append(f"Total {counts.sum()}")
-    (out / "counts.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "counts.txt", "\n".join(lines) + "\n")
     return {"train": train_file, "test": test_file,
             "schema": out / "schema.json", "counts": counts,
             "feature_dim": schema.feature_dim}
@@ -251,7 +256,7 @@ def write_trace_csv(trace: list[TraceRow], path, manifest: dict) -> None:
     writer.writerow(["epoch", "recon", "regu", "total"])
     for row in trace:
         writer.writerow([row.epoch, repr(row.recon), repr(row.regu), repr(row.total)])
-    Path(path).write_text(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
@@ -300,11 +305,12 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
 
     rows: list[tuple[str, EvalReport | str]] = []
     params = config.tree_params()
-    for name, balance in ROWS.items():
+    for name, entry in ROWS.items():
         try:
             seed = stage_seed(config.seed, f"balance.{name}")
             balanced = train_set
-            if balance is not None:
+            if entry is not None:
+                balance, fields = entry
                 balanced = balance(bal.BalanceRequest(train_set, seed=seed), config)
             tree = dtree.fit(balanced.features, balanced.labels, params)
             predictions = dtree.predict(tree, test_set.features)
@@ -312,8 +318,8 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             report = EvalReport.from_confusion(name, cm)
             rows.append((name, report))
             path = results_dir / f"{_slug(name)}.json"
-            path.write_text(report.to_json(manifest=manifest_for(config, "run-all")))
-            if balance is None:
+            write_atomic(path, report.to_json(manifest=manifest_for(config, "run-all")))
+            if entry is None:
                 continue
             if config.save_balanced:
                 save_dataset(balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
@@ -322,16 +328,12 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
                 "manifest": manifest_for(config, "run-all"),
                 "method": name,
                 "seed": seed,
-                "parameters": {"smote_k": config.smote_k,
-                               "borderline_m": config.borderline_m,
-                               "kmeans_clusters": config.kmeans_clusters,
-                               "kmeans_threshold": config.kmeans_threshold,
-                               "svm_penalty": config.svm_penalty},
+                "parameters": {field: getattr(config, field) for field in fields},
                 "synthetic_per_class": (class_counts(balanced)
                                         - class_counts(train_set)).tolist(),
             }
-            (results_dir / f"{_slug(name)}_balance_manifest.json").write_text(
-                json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+            write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
+                         json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         except Exception as exc:
             logger.warning("algorithm %s failed: %s", name, exc)
             rows.append((name, str(exc)))
@@ -346,7 +348,7 @@ def write_results(rows: list[tuple[str, EvalReport | str]],
     manifest = manifest_for(config, "run-all")
 
     table = manifest_line(manifest) + "\n" + results_table(rows)
-    (results_dir / "results_table.txt").write_text(table)
+    write_atomic(results_dir / "results_table.txt", table)
 
     buf = io.StringIO()
     buf.write(manifest_line(manifest) + "\n")
@@ -357,10 +359,10 @@ def write_results(rows: list[tuple[str, EvalReport | str]],
             for metric, value in zip(("Acc", "Pre_w", "Recall_w", "F1_w"),
                                      outcome.headline()):
                 writer.writerow([name, metric, repr(value)])
-    (results_dir / "chart_data.csv").write_text(buf.getvalue())
+    write_atomic(results_dir / "chart_data.csv", buf.getvalue())
 
     if config.emit_svg:
-        (results_dir / "chart.svg").write_text(render_svg_chart(rows, manifest))
+        write_atomic(results_dir / "chart.svg", render_svg_chart(rows, manifest))
 
 
 def render_svg_chart(rows: list[tuple[str, EvalReport | str]],

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write, write_atomic
 from .errors import DataError, LabelError
 
 Array = np.ndarray
@@ -343,7 +344,7 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             "manifest": manifest or {},
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(DATASET_MAGIC)
             fh.write(struct.pack("<I", DATASET_FORMAT_VERSION))
             fh.write(struct.pack("<Q", len(head)))
@@ -355,7 +356,7 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             fh.write(struct.pack("<Q", len(feats_raw)))
             fh.write(feats_raw)
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
             meta = {"format_version": DATASET_FORMAT_VERSION,
                     "schema": dataset.schema.to_dict(), "manifest": manifest or {}}
             fh.write("# " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
@@ -395,6 +396,9 @@ def _checked(features: Array, labels: Array, schema: EncodingSchema,
                         f"got {int(labels.max())}")
     if not np.all(np.isfinite(features)):
         raise DataError(f"{path}: features must be finite (no NaN or infinity)")
+    if features.size and (features.min() < 0.0 or features.max() > 1.0):
+        raise DataError(f"{path}: features must lie in [0, 1], got values in "
+                        f"[{features.min()!r}, {features.max()!r}]")
     return EncodedDataset(features=features, labels=labels, schema=schema)
 
 
@@ -461,7 +465,7 @@ def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> N
     payload = {"format_version": DATASET_FORMAT_VERSION,
                "fingerprint": schema.fingerprint, "manifest": manifest or {},
                **schema.to_dict()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_schema(path) -> EncodingSchema:

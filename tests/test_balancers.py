@@ -5,7 +5,7 @@ from c2bnvae import balancers
 from c2bnvae.balancers import (BalanceRequest, borderline_smote,
                                generative_balance, kmeans_smote,
                                random_oversample, smote, svm_smote)
-from c2bnvae.errors import DataError, ShapeError
+from c2bnvae.errors import ConvergenceError, DataError, ShapeError
 from c2bnvae.model import ModelConfig, train
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
@@ -196,6 +196,22 @@ class TestKmeansSmote:
         # nothing on the bridge: every point is inside one island's hull bounds
         assert np.all(near_a | near_b)
 
+    def test_seeding_draw_past_the_rounded_cumsum(self):
+        class StubRng:
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        points = np.random.default_rng(0).random((51, 2))
+        points = np.vstack([points, points[:1]])  # last row: distance 0 to the first center
+        d2 = balancers._sq_dists(points, points[:1])[:, 0]
+        assert np.cumsum(d2 / d2.sum())[-1] < StubRng().random()
+        assign = balancers._kmeans(points, 2, StubRng(), max_iter=1)
+        # the second center is the last row with a positive distance, row 50
+        assert assign[50] == 1 and assign[0] == assign[51] == 0
+
     def test_fallback_when_no_cluster_qualifies(self, caplog):
         data = imbalanced_blobs(seed=10)
         with caplog.at_level("INFO"):
@@ -216,12 +232,11 @@ class TestSvmSmote:
         return data, minority
 
     def test_seeds_are_nearer_the_hyperplane_than_the_centroid(self):
-        from c2bnvae.balancers import _class_rng, _linear_svm_sgd
+        from c2bnvae.balancers import _linear_svm
 
         data, minority = self.blobs()
-        rng = _class_rng(13, 1)
         signs = np.where(data.labels == 1, 1.0, -1.0)
-        w = _linear_svm_sgd(data.features, signs, penalty=10.0, rng=rng)
+        w = _linear_svm(data.features, signs, penalty=10.0)
         rows_aug = np.hstack([minority, np.ones((len(minority), 1))])
         margins = rows_aug @ w
         seeds = minority[margins <= 1.0 + 1e-12]
@@ -246,6 +261,118 @@ class TestSvmSmote:
                            [1, 1, 1, 1, 1, 0])
         with pytest.raises(DataError):
             svm_smote(BalanceRequest(data, seed=0))
+
+    def test_iteration_cap_raises_naming_the_class(self, monkeypatch):
+        data, _ = self.blobs()
+        monkeypatch.setattr(balancers, "SVM_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="class 1"):
+            svm_smote(BalanceRequest(data, seed=13), k=3, penalty=10.0)
+
+    def test_solver_draws_no_random_numbers(self, monkeypatch):
+        data, minority = self.blobs()
+        entry_states = []
+        real = balancers._smote_from_seeds
+
+        def recording(rows, is_seed, deficit, k, rng, empty):
+            entry_states.append(rng.bit_generator.state)
+            return real(rows, is_seed, deficit, k, rng, empty)
+        monkeypatch.setattr(balancers, "_smote_from_seeds", recording)
+        out = svm_smote(BalanceRequest(data, seed=13), k=3, penalty=10.0)
+        # the class rng reaches SMOTE untouched by the solver ...
+        assert entry_states == [balancers._class_rng(13, 1).bit_generator.state]
+        # ... so the fill equals the SMOTE draws alone from a fresh rng
+        signs = np.where(data.labels == 1, 1.0, -1.0)
+        w = balancers._linear_svm(data.features, signs, 10.0)
+        is_seed = np.hstack([minority, np.ones((len(minority), 1))]) @ w <= 1.0 + 1e-12
+        expected = real(minority, is_seed, 64, 3, balancers._class_rng(13, 1), "")
+        assert np.array_equal(out.features[len(data):], expected)
+
+
+def padded_encoding(seed=21):
+    """A 123-wide matrix laid out like the padded NSL-KDD encoding: numeric
+    columns, one-hot blocks with unused entries, a constant numeric and
+    zero padding; it repeats rows and holds a class of two rows."""
+    rng = np.random.default_rng(seed)
+    n = 90
+    features = np.zeros((n, 123))
+    features[:, :30] = rng.random((n, 30))
+    features[:, 30] = 1.0  # constant numeric
+    for start, width, used in ((31, 3, 3), (34, 70, 12), (104, 11, 5)):
+        features[np.arange(n), start + rng.integers(0, used, size=n)] = 1.0
+    features[60:75] = features[:15]  # duplicated rows
+    labels = np.repeat([0, 1, 2, 3], [50, 28, 10, 2])
+    labels[60:75] = labels[:15]
+    return features, labels
+
+
+class TestLinearSvm:
+    @staticmethod
+    def kkt_residual(features, signs, penalty, w):
+        x = np.hstack([features, np.ones((len(features), 1))])
+        active = signs * (x @ w) < 1.0
+        x_a, y_a = x[active], signs[active]
+        residual = np.linalg.norm(w / penalty - x_a.T @ (y_a - x_a @ w))
+        scale = 1.0 + np.linalg.norm(x_a.T @ y_a)
+        return residual, scale
+
+    @pytest.mark.parametrize("penalty", [0.1, 1.0, 100.0])
+    def test_kkt_residual_vanishes_at_the_solution(self, penalty):
+        data = imbalanced_blobs(seed=17)
+        signs = np.where(data.labels == 1, 1.0, -1.0)
+        w = balancers._linear_svm(data.features, signs, penalty)
+        residual, scale = self.kkt_residual(data.features, signs, penalty, w)
+        assert residual <= 1e-8 * scale
+
+    def test_solution_is_a_minimum_of_the_objective(self):
+        data = imbalanced_blobs(seed=18)
+        signs = np.where(data.labels == 1, 1.0, -1.0)
+        x = np.hstack([data.features, np.ones((len(data), 1))])
+
+        def objective(v):
+            return v @ v / 2.0 + 0.5 * np.sum(np.maximum(0.0, 1.0 - signs * (x @ v)) ** 2)
+        w = balancers._linear_svm(data.features, signs, 1.0)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            assert objective(w) <= objective(w + 1e-3 * rng.normal(size=w.shape))
+
+    def test_line_search_is_exact(self):
+        data = imbalanced_blobs(seed=20)
+        signs = np.where(data.labels == 1, 1.0, -1.0)
+        x = np.hstack([data.features, np.ones((len(data), 1))])
+
+        def objective(v):
+            return v @ v / 4.0 + 0.5 * np.sum(np.maximum(0.0, 1.0 - signs * (x @ v)) ** 2)
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            w, step = rng.normal(size=4), rng.normal(size=4)
+            if objective(w + 1e-6 * step) > objective(w):
+                step = -step  # a descent direction, as a Newton step is
+            t = balancers._line_search(data.features, signs, 2.0, w, step)
+            assert t > 0
+            best = objective(w + t * step)
+            for other in (0.999 * t, 1.001 * t, 0.5 * t, 2.0 * t):
+                assert best <= objective(w + other * step)
+
+    def test_identical_across_calls(self):
+        data = imbalanced_blobs(seed=19)
+        signs = np.where(data.labels == 1, 1.0, -1.0)
+        first = balancers._linear_svm(data.features, signs, 1.0)
+        assert np.array_equal(first, balancers._linear_svm(data.features, signs, 1.0))
+
+    @pytest.mark.parametrize("label", [0, 1, 2, 3])
+    def test_converges_on_the_padded_encoding(self, label):
+        features, labels = padded_encoding()
+        signs = np.where(labels == label, 1.0, -1.0)
+        w = balancers._linear_svm(features, signs, 1.0)
+        assert np.all(np.isfinite(w))
+        residual, scale = self.kkt_residual(features, signs, 1.0, w)
+        assert residual <= 1e-8 * scale
+
+    def test_svm_smote_balances_the_padded_encoding(self):
+        features, labels = padded_encoding()
+        out = svm_smote(BalanceRequest(toy_dataset(features, labels), seed=21), k=3)
+        assert np.bincount(labels).tolist() == [65, 13, 10, 2]
+        assert class_counts(out, num_classes=4).tolist() == [65] * 4
 
 
 class TestGenerativeBalance:

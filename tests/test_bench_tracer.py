@@ -71,9 +71,9 @@ with tempfile.TemporaryDirectory() as out_dir:
     config = experiment.ExperimentConfig(out_dir=out_dir, smote_k=3, borderline_m=5,
                                          kmeans_clusters=3, latent_dim=2,
                                          hidden_widths=(5, 5), epochs=1, batch_size=16)
-    for name, balance in experiment.ROWS.items():
-        if balance is not None:
-            out = balance(balancers.BalanceRequest(data, seed=1), config)
+    for name, entry in experiment.ROWS.items():
+        if entry is not None:
+            out = entry[0](balancers.BalanceRequest(data, seed=1), config)
             assert np.bincount(out.labels).tolist() == [40, 40, 40], name
 calls = np.bincount(tracer.arrays()[1], minlength=len(tracer.names))
 print(json.dumps({"problems": tracer.check(),

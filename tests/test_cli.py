@@ -66,17 +66,16 @@ class TestExitCodes:
 
     def test_nan_training_is_three(self, preprocessed, tmp_path, monkeypatch):
         # poison one encoded feature so the first loss is non-finite; the
-        # value is finite, because the loader rejects NaN and infinity
-        from c2bnvae.nslkdd import load_dataset, save_dataset
+        # loader rejects such a file (features lie in [0, 1]), so the
+        # poisoned split reaches training in memory
+        from c2bnvae import cli
+        from c2bnvae.nslkdd import load_dataset
 
-        out = tmp_path / "poisoned"
-        out.mkdir()
-        (out / "encoded").mkdir()
         train_set = load_dataset(preprocessed / "encoded" / "train.c2ds")
         train_set.features[0, 0] = 1e300
-        save_dataset(train_set, out / "encoded" / "train.c2ds", fmt="binary")
         test_set = load_dataset(preprocessed / "encoded" / "test.c2ds")
-        save_dataset(test_set, out / "encoded" / "test.c2ds", fmt="binary")
+        monkeypatch.setattr(cli, "load_encoded", lambda config: (train_set, test_set))
+        out = tmp_path / "poisoned"
         rc = main(["train-gen", "--out-dir", str(out), "--seed", "3"] + FAST_FLAGS)
         assert rc == EXIT_TRAINING
 
@@ -129,6 +128,23 @@ class TestExitCodes:
         save_dataset(dataset, path, fmt=fmt)
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "labels must be below 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_feature_outside_unit_interval_is_two(self, corpus_files, tmp_path, fmt,
+                                                  capsys):
+        from c2bnvae.nslkdd import load_dataset, save_dataset
+
+        train, test = corpus_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
+                                      "out_dir": str(tmp_path), "dataset_format": fmt}))
+        assert main(["preprocess", "--config", str(config)]) == EXIT_OK
+        path = tmp_path / "encoded" / f"train.{'c2ds' if fmt == 'binary' else 'csv'}"
+        dataset = load_dataset(path)
+        dataset.features[0, 0] = 1.25
+        save_dataset(dataset, path, fmt=fmt)
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        assert "features must lie in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["count", "train-gen"])
     @pytest.mark.parametrize("widths", ["8,x", "", "8,,8", "6.5"])

@@ -138,6 +138,20 @@ class TestRunAll:
         assert sum(sidecar["synthetic_per_class"]) > 0
         assert "seed" in sidecar and "parameters" in sidecar
 
+    def test_sidecars_record_only_the_parameters_their_method_used(self, completed):
+        config, _ = completed
+        results = config.results_dir()
+        expected = {"random_oversampling": {}, "smote": {"smote_k": 3},
+                    "borderline_smote": {"smote_k": 3, "borderline_m": 5},
+                    "kmeans_smote": {"smote_k": 3, "kmeans_clusters": 3,
+                                     "kmeans_threshold": 0.5},
+                    "svm_smote": {"smote_k": 3, "svm_penalty": 1.0},
+                    "cvae": {}, "c2bnvae": {}}
+        for slug, parameters in expected.items():
+            sidecar = json.loads((results / f"{slug}_balance_manifest.json").read_text())
+            assert sidecar["parameters"] == parameters, slug
+        assert not (results / "original_imbalanced_data_balance_manifest.json").exists()
+
     def test_chart_csv_long_format(self, completed):
         config, rows = completed
         lines = (config.results_dir() / "chart_data.csv").read_text().splitlines()
@@ -179,6 +193,37 @@ class TestRunAll:
         rows = dict(run_all(config))
         assert isinstance(rows["SMOTE"], str)  # failure reason recorded
         assert isinstance(rows["Random oversampling"], EvalReport)
+
+
+class RecordingConfig:
+    """An ExperimentConfig proxy that records every field read through it."""
+
+    def __init__(self, config):
+        self._config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+def test_row_table_fields_are_the_config_fields_each_balancer_reads(monkeypatch):
+    from c2bnvae import balancers, experiment
+
+    # stand-ins for the generator trainer and every balancer: each row's own
+    # lambda is then the only reader of the config
+    monkeypatch.setattr(experiment, "train_generator",
+                        lambda cfg, dataset, use_cbn: (None, [], None))
+    for method in ("random_oversample", "smote", "borderline_smote", "kmeans_smote",
+                   "svm_smote", "generative_balance"):
+        monkeypatch.setattr(balancers, method, lambda request, *a, **k: request.dataset)
+    request = balancers.BalanceRequest(dataset=None)
+    for name, entry in ROWS.items():
+        if entry is None:
+            continue
+        balance, fields = entry
+        config = RecordingConfig(ExperimentConfig())
+        balance(request, config)
+        assert config.read == set(fields), name
 
 
 class TestDeterminism:

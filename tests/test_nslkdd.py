@@ -443,3 +443,60 @@ class TestMalformedDatasets:
         features[2, 5] = bad
         with pytest.raises(DataError, match="finite"):
             load_dataset(self.binary(small, tmp_path, features=features))
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5])
+    def test_binary_feature_outside_unit_interval(self, small, tmp_path, bad):
+        features = small.features.copy()
+        features[2, 5] = bad
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            load_dataset(self.binary(small, tmp_path, features=features))
+
+    @pytest.mark.parametrize("bad", ["-0.25", "1.0000001"])
+    def test_csv_feature_outside_unit_interval(self, csv_lines, bad):
+        path, lines = csv_lines
+        lines[2] = lines[2][:lines[2].rindex(",")] + "," + bad
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            load_dataset(self.rewrite(path, lines))
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the old file and no temporary file."""
+
+    class FailsMidway:
+        """Feature rows that raise once the writer has written part of the
+        file: the binary writer after the header and labels, the CSV writer
+        after the header lines and the first row."""
+
+        def __init__(self, rows):
+            self.rows, self.shape = rows, rows.shape
+
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        def __iter__(self):
+            yield self.rows[0]
+            raise OSError("disk full")
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_failed_dataset_write_keeps_the_old_file(self, fitted, tmp_path, fmt):
+        _, _, encoded = fitted
+        path = tmp_path / "train.data"
+        save_dataset(encoded, path, fmt=fmt)
+        before = path.read_bytes()
+        failing = EncodedDataset(features=encoded.features[:3], labels=encoded.labels[:3],
+                                 schema=encoded.schema)
+        failing.features = self.FailsMidway(failing.features)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(failing, path, fmt=fmt)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["train.data"]
+
+    def test_failed_write_leaves_no_file_where_there_was_none(self, tmp_path):
+        from c2bnvae.atomic import atomic_write
+
+        path = tmp_path / "report.json"
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("{partial")
+                raise RuntimeError("killed")
+        assert list(tmp_path.iterdir()) == []
