@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import math
-import struct
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import container
 from .atomic import atomic_write, write_atomic
 from .errors import DataError, LabelError
 
@@ -334,7 +334,6 @@ def class_counts(dataset: EncodedDataset, num_classes: int = NUM_CATEGORIES) -> 
 
 def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
                  manifest: dict | None = None) -> None:
-    path = Path(path)
     if fmt == "binary":
         header = {
             "format_version": DATASET_FORMAT_VERSION,
@@ -343,18 +342,10 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             "schema": dataset.schema.to_dict(),
             "manifest": manifest or {},
         }
-        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         with atomic_write(path, "wb") as fh:
-            fh.write(DATASET_MAGIC)
-            fh.write(struct.pack("<I", DATASET_FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(head)))
-            fh.write(head)
-            labels_raw = np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes()
-            fh.write(struct.pack("<Q", len(labels_raw)))
-            fh.write(labels_raw)
-            feats_raw = np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(feats_raw)))
-            fh.write(feats_raw)
+            container.write(fh, DATASET_MAGIC, DATASET_FORMAT_VERSION, header,
+                            (np.ascontiguousarray(block, dtype=dtype) for block, dtype in
+                             ((dataset.labels, "<i8"), (dataset.features, "<f8"))))
     elif fmt == "csv":
         with atomic_write(path, "w", newline="") as fh:
             meta = {"format_version": DATASET_FORMAT_VERSION,
@@ -368,23 +359,10 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
         raise DataError(f"unknown dataset format {fmt!r}; use 'binary' or 'csv'")
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataError(f"truncated dataset file: expected {n} bytes of {what}")
-    return data
-
-
-def _parse_header(raw, what: str) -> dict:
-    try:
-        header = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{what} is not a JSON object")
-    if "schema" not in header:
-        raise DataError(f"{what} lacks the 'schema' key")
-    return header
+def _header_schema(header, what: str) -> EncodingSchema:
+    if not isinstance(header, dict) or "schema" not in header:
+        raise DataError(f"{what} is not a JSON object with a 'schema' key")
+    return EncodingSchema.from_dict(header["schema"])
 
 
 def _checked(features: Array, labels: Array, schema: EncodingSchema,
@@ -404,29 +382,10 @@ def _checked(features: Array, labels: Array, schema: EncodingSchema,
 
 def load_dataset(path) -> EncodedDataset:
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == DATASET_MAGIC:
-            (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-            if version != DATASET_FORMAT_VERSION:
-                raise DataError(f"unsupported dataset format version {version}")
-            (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-            header = _parse_header(_read_exact(fh, head_len, "header"),
-                                   f"{path}: dataset header")
-            schema = EncodingSchema.from_dict(header["schema"])
-            n, d = header.get("n"), header.get("feature_dim")
-            for key, value in (("n", n), ("feature_dim", d)):
-                if type(value) is not int or value < 0:
-                    raise DataError(f"{path}: dataset header needs a nonnegative "
-                                    f"integer {key!r}, got {value!r}")
-            (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, "labels length"))
-            labels = np.frombuffer(_read_exact(fh, nbytes, "labels"), dtype="<i8")
-            (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, "features length"))
-            feats = np.frombuffer(_read_exact(fh, nbytes, "features"), dtype="<f8")
-            if labels.size != n or feats.size != n * d:
-                raise DataError("dataset blocks do not match the header dimensions")
-            return _checked(feats.reshape(n, d).copy(), labels.astype(np.int64),
-                            schema, path)
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: one read of the whole file
+        if fh.read(len(DATASET_MAGIC)) == DATASET_MAGIC:
+            fh.seek(0)
+            return _load_binary(fh.read(), path)
     # fall back to CSV
     try:
         with open(path) as fh:
@@ -435,12 +394,34 @@ def load_dataset(path) -> EncodedDataset:
         raise DataError(f"{path} is neither a binary dataset nor a text CSV") from None
 
 
+def _load_binary(data: bytes, path: Path) -> EncodedDataset:
+    header, blocks = container.read(data, DATASET_MAGIC, DATASET_FORMAT_VERSION,
+                                    f"{path}: dataset file")
+    schema = _header_schema(header, f"{path}: dataset header")
+    n, d = header.get("n"), header.get("feature_dim")
+    for key, value in (("n", n), ("feature_dim", d)):
+        if type(value) is not int or value < 0:
+            raise DataError(f"{path}: dataset header needs a nonnegative "
+                            f"integer {key!r}, got {value!r}")
+    if len(blocks) != 2:
+        raise DataError(f"{path}: dataset file holds {len(blocks)} blocks, expected 2")
+    labels = np.frombuffer(blocks[0], dtype="<i8")
+    feats = np.frombuffer(blocks[1], dtype="<f8")
+    if labels.size != n or feats.size != n * d or d != schema.feature_dim:
+        raise DataError(f"{path}: the dataset header's n={n} and feature_dim={d} do "
+                        f"not match its blocks and its schema")
+    return _checked(feats.reshape(n, d).copy(), labels.astype(np.int64), schema, path)
+
+
 def _load_csv(fh, path: Path) -> EncodedDataset:
     first = fh.readline()
     if not first.startswith("# "):
         raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
-    meta = _parse_header(first[2:], f"{path}: CSV comment header")
-    schema = EncodingSchema.from_dict(meta["schema"])
+    try:
+        meta = json.loads(first[2:])
+    except ValueError as exc:
+        raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
+    schema = _header_schema(meta, f"{path}: CSV comment header")
     reader = csv.reader(fh)
     if next(reader, None) is None:
         raise DataError(f"{path}: CSV has no column header line")

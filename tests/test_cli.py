@@ -146,6 +146,22 @@ class TestExitCodes:
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "features must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_labels_block_seven_bytes_short_is_two(self, corpus_files, tmp_path, capsys):
+        train, test = corpus_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
+                                      "out_dir": str(tmp_path)}))
+        assert main(["preprocess", "--config", str(config)]) == EXIT_OK
+        path = tmp_path / "encoded" / "train.c2ds"
+        raw = path.read_bytes()
+        (head_len,) = struct.unpack_from("<Q", raw, 8)
+        at = 16 + head_len  # the labels block's length field
+        (nbytes,) = struct.unpack_from("<Q", raw, at)
+        path.write_bytes(raw[:at] + struct.pack("<Q", nbytes - 7)
+                         + raw[at + 8:at + 8 + nbytes - 7] + raw[at + 8 + nbytes:])
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        assert "not whole 8-byte values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["count", "train-gen"])
     @pytest.mark.parametrize("widths", ["8,x", "", "8,,8", "6.5"])
     def test_bad_hidden_widths_is_one(self, command, widths, capsys):
@@ -251,6 +267,26 @@ class TestRunAllCommand:
         second = hashlib.sha256(
             (preprocessed / "models" / "c2bnvae.ckpt").read_bytes()).hexdigest()
         assert first == second
+
+    def test_retrains_over_checkpoint_header_length_past_the_file(self, preprocessed,
+                                                                  tmp_path):
+        clean, out = tmp_path / "clean", tmp_path / "exp"
+        for directory in (clean, out):
+            shutil.copytree(preprocessed / "encoded", directory / "encoded")
+        assert main(["run-all", "--out-dir", str(clean), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        trained = (clean / "models" / "c2bnvae.ckpt").read_bytes()
+        (out / "models").mkdir()
+        (out / "models" / "c2bnvae.ckpt").write_bytes(
+            trained[:8] + struct.pack("<Q", 2 ** 64 - 1) + trained[16:])
+        assert main(["run-all", "--out-dir", str(out), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        assert (out / "models" / "c2bnvae.ckpt").read_bytes() == trained
+        for report in (clean / "results").glob("*.json"):
+            assert (out / "results" / report.name).read_bytes() == report.read_bytes()
+        assert len(list((out / "results").glob("*_balance_manifest.json"))) == 7
+        assert ((out / "results" / "results_table.txt").read_text()
+                == (clean / "results" / "results_table.txt").read_text())
 
 
     @pytest.mark.parametrize("header", [

@@ -11,7 +11,7 @@ from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
                                 stratified_subsample, write_trace_csv)
 from c2bnvae.metrics import EvalReport
 from c2bnvae.model import TraceRow
-from c2bnvae.nslkdd import class_counts
+from c2bnvae.nslkdd import class_counts, load_dataset
 
 import corpus
 
@@ -109,7 +109,8 @@ class TestRunAll:
     @pytest.fixture(scope="class")
     @staticmethod
     def completed(corpus_files, tmp_path_factory):
-        config = make_config(corpus_files, tmp_path_factory.mktemp("run"))
+        config = make_config(corpus_files, tmp_path_factory.mktemp("run"),
+                             save_balanced=True)
         preprocess(config)
         rows = run_all(config)
         return config, rows
@@ -151,6 +152,24 @@ class TestRunAll:
             sidecar = json.loads((results / f"{slug}_balance_manifest.json").read_text())
             assert sidecar["parameters"] == parameters, slug
         assert not (results / "original_imbalanced_data_balance_manifest.json").exists()
+
+    def test_saved_balanced_sets_extend_the_training_rows(self, completed):
+        config, _ = completed
+        train_set, _ = load_encoded(config)
+        n, train_counts = len(train_set), class_counts(train_set)
+        results = config.results_dir()
+        assert not (results / "balanced_original_imbalanced_data.c2ds").exists()
+        for slug in ("random_oversampling", "smote", "borderline_smote", "kmeans_smote",
+                     "svm_smote", "cvae", "c2bnvae"):
+            balanced = load_dataset(results / f"balanced_{slug}.c2ds")
+            assert balanced.schema == train_set.schema
+            assert np.array_equal(balanced.features[:n], train_set.features), slug
+            assert np.array_equal(balanced.labels[:n], train_set.labels), slug
+            sidecar = json.loads((results / f"{slug}_balance_manifest.json").read_text())
+            counts = class_counts(balanced)
+            assert counts.tolist() == (train_counts
+                                       + sidecar["synthetic_per_class"]).tolist(), slug
+            assert counts.min() >= train_counts.max(), slug
 
     def test_chart_csv_long_format(self, completed):
         config, rows = completed
