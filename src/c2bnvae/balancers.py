@@ -389,7 +389,15 @@ def svm_smote(request: BalanceRequest, k: int = 5, penalty: float = 1.0) -> Enco
 
 def generative_balance(request: BalanceRequest,
                        checkpoint: model_mod.Checkpoint) -> EncodedDataset:
-    """Fill deficits with model-generated rows, kept in encoded space."""
+    """Fill deficits with model-generated rows, kept in encoded space.
+
+    A column that is constant over the training rows (``max == min``, the
+    rule ``dtree.fit`` drops columns by) holds that training value in every
+    generated row: padding, vocabulary entries no training row uses and
+    numerics the data never varies. The decoder's sigmoid would put a value
+    strictly inside (0, 1) there, which no real row holds. Every other
+    column is exactly what ``model.generate`` returned.
+    """
     dataset = request.dataset
     if checkpoint.schema_fingerprint != dataset.schema.fingerprint:
         raise DataError("checkpoint was trained against a different encoding "
@@ -397,5 +405,9 @@ def generative_balance(request: BalanceRequest,
                         f"dataset {dataset.schema.fingerprint[:12]}...)")
     if dataset.labels.size and dataset.labels.max() >= checkpoint.config.num_classes:
         raise LabelError("dataset holds labels outside the checkpoint's classes")
-    return _balance(request, lambda label, rows, deficit, rng:
-                    model_mod.generate(label, deficit, checkpoint, rng))
+    balanced = _balance(request, lambda label, rows, deficit, rng:
+                        model_mod.generate(label, deficit, checkpoint, rng))
+    real = dataset.features
+    constant = real.max(axis=0) == real.min(axis=0)
+    balanced.features[len(real):, constant] = real[0, constant]
+    return balanced

@@ -31,7 +31,7 @@ from . import model as model_mod
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costing import count_params_flops
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .metrics import EvalReport, confusion, results_table
 from .model import Checkpoint, ModelConfig, TraceRow
 from .nslkdd import (CATEGORY_NAMES, NUM_CATEGORIES, EncodedDataset,
@@ -103,6 +103,13 @@ class ExperimentConfig:
         self.hidden_widths = tuple(self.hidden_widths)
         if not 0.0 < self.subsample <= 1.0:
             raise DataError(f"subsample must lie in (0, 1], got {self.subsample}")
+        # the generator and tree settings are checked where they are defined,
+        # once, at load; feature_dim comes from the data, so any valid width
+        try:
+            self.model_config(feature_dim=1, use_cbn=True, seed=0)
+            self.tree_params()
+        except ShapeError as exc:
+            raise DataError(f"bad experiment config: {exc}") from None
 
     # paths and storage options do not identify the experiment
     _NON_SEMANTIC = ("train_path", "test_path", "out_dir", "taxonomy_path",
@@ -273,10 +280,11 @@ def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
             existing = load_checkpoint(ckpt_path)
             if (existing.config == model_config
                     and existing.schema_fingerprint == train_set.schema.fingerprint):
+                model_mod.C2BNVAE.from_checkpoint(existing)  # arrays must fit the config
                 logger.info("reusing checkpoint %s", ckpt_path)
                 return existing, [], ckpt_path
         except DataError:
-            pass  # unreadable or stale: retrain below
+            pass  # unreadable, stale or ill-shaped: retrain below
     ckpt, trace = model_mod.train(train_set, model_config)
     save_checkpoint(ckpt, ckpt_path, manifest=manifest_for(config, f"train.{name}"))
     write_trace_csv(trace, models / f"{name}_trace.csv",

@@ -95,8 +95,10 @@ class ModelConfig:
             raise ShapeError(f"hidden_widths must be nonempty positive, got {self.hidden_widths}")
         if self.epochs < 0:
             raise ShapeError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # also rejects NaN
             raise ShapeError(f"lr must be positive, got {self.lr}")
+        if not self.kl_weight >= 0:
+            raise ShapeError(f"kl_weight must be >= 0, got {self.kl_weight}")
         if self.cbn_placement not in CBN_PLACEMENTS:
             raise ShapeError(f"cbn_placement must be one of {CBN_PLACEMENTS}, "
                              f"got {self.cbn_placement!r}")

@@ -6,7 +6,7 @@ from c2bnvae.balancers import (BalanceRequest, borderline_smote,
                                generative_balance, kmeans_smote,
                                random_oversample, smote, svm_smote)
 from c2bnvae.errors import ConvergenceError, DataError, ShapeError
-from c2bnvae.model import ModelConfig, train
+from c2bnvae.model import ModelConfig, generate, train
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
 
@@ -394,6 +394,36 @@ class TestGenerativeBalance:
         synth = out.features[len(data):]
         assert np.all((synth > 0.0) & (synth < 1.0))
         assert len(out) == len(data) + 64
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def trained_with_constant_columns():
+        # blobs, a zero pad column, a constant 0.5 column, and a column that is
+        # constant within the minority class only
+        blobs = imbalanced_blobs(n_major=80, n_minor=16, dim=4, seed=14)
+        n = len(blobs)
+        features = np.hstack([blobs.features, np.zeros((n, 1)), np.full((n, 1), 0.5)])
+        features[blobs.labels == 1, 3] = 0.9
+        data = toy_dataset(features, blobs.labels)
+        config = ModelConfig(feature_dim=6, num_classes=2, latent_dim=2,
+                             hidden_widths=(12, 12), lr=3e-3, epochs=25,
+                             batch_size=32, seed=14)
+        ckpt, _ = train(data, config)
+        return data, ckpt
+
+    def test_training_constant_columns_hold_their_value(self,
+                                                        trained_with_constant_columns):
+        data, ckpt = trained_with_constant_columns
+        out = generative_balance(BalanceRequest(data, seed=15), ckpt)
+        assert np.array_equal(out.features[:len(data)], data.features)
+        synth = out.features[len(data):]
+        assert synth.shape == (64, 6)
+        assert np.all(synth[:, 4] == 0.0)
+        assert np.all(synth[:, 5] == 0.5)
+        generated = generate(1, 64, ckpt, balancers._class_rng(15, 1))
+        assert np.all((generated[:, 4:] > 0.0) & (generated[:, 4:] < 1.0))
+        # every other column, the class-constant one too, is the model's output
+        assert np.array_equal(synth[:, :4], generated[:, :4])
 
     def test_fingerprint_mismatch_refused(self, trained):
         data, ckpt = trained

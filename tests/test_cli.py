@@ -111,6 +111,34 @@ class TestExitCodes:
                                     "max_depth": None, "lr": 1, "hidden_widths": [8]}))
         assert main(["count", "--config", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("setting", [
+        {"latent_dim": 0}, {"batch_size": 0}, {"hidden_widths": []},
+        {"cbn_placement": "nowhere"}, {"kl_weight": -1}, {"epochs": -1},
+        {"max_depth": -1}, {"min_samples_split": 1}, {"min_gain": -0.5},
+    ], ids=["latent-0", "batch-0", "no-widths", "placement", "negative-kl",
+            "negative-epochs", "negative-depth", "split-1", "negative-gain"])
+    def test_bad_generator_or_tree_setting_is_two(self, preprocessed, tmp_path,
+                                                  setting, capsys):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(out), "seed": 3, "epochs": 2,
+                                      "lr": 0.001, "batch_size": 64, **setting}))
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "experiment config" in err and next(iter(setting)) in err
+        assert not (out / "results").exists()
+
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan"])
+    def test_bad_learning_rate_flag_is_two(self, preprocessed, tmp_path, lr, capsys):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        rc = main(["run-all", "--out-dir", str(out), "--seed", "3", "--epochs", "2",
+                   "--lr", lr])
+        assert rc == EXIT_DATA
+        assert "lr must be positive" in capsys.readouterr().err
+        assert not (out / "results").exists()
+
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_label_past_the_classes_is_two(self, corpus_files, tmp_path, split, fmt,
@@ -288,6 +316,34 @@ class TestRunAllCommand:
         assert ((out / "results" / "results_table.txt").read_text()
                 == (clean / "results" / "results_table.txt").read_text())
 
+
+    def test_retrains_over_checkpoint_arrays_that_do_not_fit_the_config(
+            self, preprocessed, tmp_path):
+        clean, out = tmp_path / "clean", tmp_path / "exp"
+        for directory in (clean, out):
+            shutil.copytree(preprocessed / "encoded", directory / "encoded")
+        assert main(["run-all", "--out-dir", str(clean), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        trained = (clean / "models" / "c2bnvae.ckpt").read_bytes()
+        # store enc.lin0.W as [60, 128]: the same size, so the file still loads
+        (head_len,) = struct.unpack_from("<Q", trained, 8)
+        header = json.loads(trained[16:16 + head_len])
+        entry = next(e for e in header["params"] if e["name"] == "enc.lin0.W")
+        assert entry["shape"] == [128, 60]
+        entry["shape"] = [60, 128]
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        (out / "models").mkdir()
+        path = out / "models" / "c2bnvae.ckpt"
+        path.write_bytes(trained[:8] + struct.pack("<Q", len(head)) + head
+                         + trained[16 + head_len:])
+        assert load_checkpoint(path).params["enc.lin0.W"].shape == (60, 128)
+        assert main(["run-all", "--out-dir", str(out), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        assert path.read_bytes() == trained
+        table = (out / "results" / "results_table.txt").read_text()
+        assert "FAILED" not in table
+        assert table == (clean / "results" / "results_table.txt").read_text()
+        assert len(list((out / "results").glob("*.json"))) == 8 + 7  # reports, sidecars
 
     @pytest.mark.parametrize("header", [
         ["not", "an", "object"],

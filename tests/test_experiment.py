@@ -171,6 +171,19 @@ class TestRunAll:
                                        + sidecar["synthetic_per_class"]).tolist(), slug
             assert counts.min() >= train_counts.max(), slug
 
+    def test_generator_rows_hold_the_training_constant_columns(self, completed):
+        config, _ = completed
+        train_set, _ = load_encoded(config)
+        real = train_set.features
+        constant = real.max(axis=0) == real.min(axis=0)
+        assert constant.sum() == 84  # 72 padding columns and 12 constant numerics
+        for slug in ("cvae", "c2bnvae"):
+            balanced = load_dataset(config.results_dir() / f"balanced_{slug}.c2ds")
+            features = balanced.features
+            held = features.max(axis=0) == features.min(axis=0)
+            assert np.array_equal(held, constant), slug
+            assert np.all(features[:, constant] == real[0, constant]), slug
+
     def test_chart_csv_long_format(self, completed):
         config, rows = completed
         lines = (config.results_dir() / "chart_data.csv").read_text().splitlines()

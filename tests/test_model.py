@@ -371,6 +371,14 @@ def test_config_defaults_match_published_setup():
     assert config.decoder_input_dim == 37
 
 
+@pytest.mark.parametrize("setting", [{"kl_weight": -1.0}, {"kl_weight": float("nan")},
+                                     {"lr": float("nan")}, {"lr": 0.0}])
+def test_config_rejects_bad_loss_and_step_settings(setting):
+    with pytest.raises(ShapeError, match=next(iter(setting))):
+        ModelConfig(feature_dim=123, num_classes=5, **setting)
+    assert ModelConfig(feature_dim=123, num_classes=5, kl_weight=0.0).kl_weight == 0.0
+
+
 def test_logvar_head_output_is_clamped():
     model = C2BNVAE(blob_config())
     # blow up the logvar head bias so the clamp must engage
