@@ -110,6 +110,15 @@ class ExperimentConfig:
             self.tree_params()
         except ShapeError as exc:
             raise DataError(f"bad experiment config: {exc}") from None
+        # the balancers' settings, one at a time, so the message names the field
+        for field, setting in (("smote_k", "k"), ("borderline_m", "m"),
+                               ("kmeans_clusters", "n_clusters"),
+                               ("kmeans_threshold", "imbalance_threshold"),
+                               ("svm_penalty", "penalty")):
+            try:
+                bal.check_settings(**{setting: getattr(self, field)})
+            except ShapeError as exc:
+                raise DataError(f"bad experiment config: {field}: {exc}") from None
 
     # paths and storage options do not identify the experiment
     _NON_SEMANTIC = ("train_path", "test_path", "out_dir", "taxonomy_path",

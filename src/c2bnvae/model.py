@@ -26,10 +26,10 @@ import numpy as np
 
 from .costing import LinearSpec, NormSpec
 from .errors import DataError, LabelError, ShapeError, TrainingDiverged
-from .losses import (LOGVAR_MAX, LOGVAR_MIN, kl_gaussian, kl_gaussian_grad, mse_loss,
-                     mse_loss_grad)
+from .losses import (LOGVAR_MAX, LOGVAR_MIN, clip_logvar, kl_gaussian, kl_gaussian_grad,
+                     mse_loss, mse_loss_grad)
 from .nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters, leaky_relu,
-                 leaky_relu_grad, one_hot, sigmoid, sigmoid_grad)
+                 one_hot, sigmoid, sigmoid_grad)
 from .optim import Adam
 
 Array = np.ndarray
@@ -195,10 +195,11 @@ class C2BNVAE:
         self.out_layer = Linear(widths[-1], config.feature_dim, rng)
         self.params, self.grads = flatten_parameters(
             [layer for _, layer in self._named_layers()])
-        # what backward needs from the last forward: hidden pre-activations
-        # and which raw log-variances lay inside the clip range
-        self._enc_pre: list[Array] = []
-        self._dec_pre: list[Array] = []
+        # what backward needs from the last forward: the hidden layers'
+        # LeakyReLU multipliers and which raw log-variances lay inside the
+        # clip range
+        self._enc_multipliers: list[Array] = []
+        self._dec_multipliers: list[Array] = []
         self._logvar_kept: Array | None = None
 
     # ------------------------------------------------------------------
@@ -244,18 +245,16 @@ class C2BNVAE:
         return x, labels
 
     def _hidden(self, linears: list[Linear], h: Array) -> tuple[Array, list[Array]]:
-        pre = []
+        multipliers = []
         for lin in linears:
-            pre.append(lin(h))
-            h = leaky_relu(pre[-1], self.config.leaky_slope)
-        return h, pre
+            h, multiplier = leaky_relu(lin(h), self.config.leaky_slope)
+            multipliers.append(multiplier)
+        return h, multipliers
 
-    def _hidden_backward(self, linears: list[Linear], pre: list[Array], g: Array,
+    def _hidden_backward(self, linears: list[Linear], multipliers: list[Array], g: Array,
                          input_grad: bool) -> Array | None:
-        slope = self.config.leaky_slope
         for i in range(len(linears) - 1, -1, -1):
-            g = linears[i].backward(leaky_relu_grad(g, pre[i], slope),
-                                    input_grad=input_grad or i > 0)
+            g = linears[i].backward(g * multipliers[i], input_grad=input_grad or i > 0)
         return g
 
     def _banks(self, labels: Array) -> Array:
@@ -268,20 +267,20 @@ class C2BNVAE:
         x, labels = self._inputs(x, labels, self.config.feature_dim,
                                  "encoder expects features")
         h = np.concatenate([x, one_hot(labels, self.config.num_classes)], axis=1)
-        h, self._enc_pre = self._hidden(self.enc_linears, h)
+        h, self._enc_multipliers = self._hidden(self.enc_linears, h)
         if self.enc_norm is not None:
             h = self.enc_norm(h, self._banks(labels), training)
         mu = self.mu_head(h)
         raw = self.logvar_head(h)
         self._logvar_kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
-        return mu, np.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
+        return mu, clip_logvar(raw)
 
     def decode(self, z, labels: Array, training: bool = False) -> Array:
         """Reconstructed features in (0, 1) for latent codes ``z``."""
         z, labels = self._inputs(z, labels, self.config.latent_dim,
                                  "decoder expects latents")
         h = np.concatenate([z, one_hot(labels, self.config.num_classes)], axis=1)
-        h, self._dec_pre = self._hidden(self.dec_linears, h)
+        h, self._dec_multipliers = self._hidden(self.dec_linears, h)
         h = self.dec_norm(h, self._banks(labels), training)
         return sigmoid(self.out_layer(h))
 
@@ -301,7 +300,7 @@ class C2BNVAE:
         """
         g = sigmoid_grad(mse_loss_grad(x, x_hat), x_hat)
         g = self.dec_norm.backward(self.out_layer.backward(g))
-        g_z = self._hidden_backward(self.dec_linears, self._dec_pre, g,
+        g_z = self._hidden_backward(self.dec_linears, self._dec_multipliers, g,
                                     input_grad=True)[:, :self.config.latent_dim]
         g_mu, g_logvar = kl_gaussian_grad(mu, logvar, self.config.kl_weight)
         g_mu = g_mu + g_z
@@ -312,7 +311,8 @@ class C2BNVAE:
              + self.logvar_head.backward(g_logvar * self._logvar_kept))
         if self.enc_norm is not None:
             g = self.enc_norm.backward(g)
-        self._hidden_backward(self.enc_linears, self._enc_pre, g, input_grad=False)
+        self._hidden_backward(self.enc_linears, self._enc_multipliers, g,
+                              input_grad=False)
 
     # ------------------------------------------------------------------
     def to_checkpoint(self, schema_fingerprint: str) -> Checkpoint:
@@ -345,7 +345,7 @@ def reparameterize_t(mu: Array, logvar: Array,
     """
     if mu.shape != logvar.shape:
         raise ShapeError(f"reparameterize shape mismatch: {mu.shape} vs {logvar.shape}")
-    sigma = np.exp(np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX) * 0.5)
+    sigma = np.exp(clip_logvar(logvar) * 0.5)
     noise = rng.standard_normal(mu.shape)
     return mu + sigma * noise, sigma, noise
 

@@ -4,9 +4,10 @@ Every layer works on plain float64 arrays. A forward call keeps what the
 backward pass needs, and ``backward(g)`` takes the loss gradient with
 respect to the layer's output, writes the gradients of the layer's
 parameters into its ``grad_*`` arrays and returns the gradient with respect
-to its input. Each expression repeats, operation for operation, the
+to its input. Each expression keeps every rounded operation of the
 autodiff tape's composition of the same layer (``tests/model_reference.py``),
-so the two agree bit for bit.
+in the tape's order, so the two agree bit for bit; only where results are
+stored may differ (a copy skipped, a sum written in place).
 """
 
 from __future__ import annotations
@@ -25,22 +26,24 @@ def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> Ar
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def leaky_relu(x: Array, slope: float = 0.01) -> Array:
-    """Elementwise max(x, slope*x); subgradient at 0 is taken as 1."""
+def leaky_relu(x: Array, slope: float = 0.01) -> tuple[Array, Array]:
+    """Elementwise max(x, slope*x) and the multiplier that gave it (1 or
+    ``slope``; the subgradient at 0 is taken as 1).
+
+    The multiplier is also the local gradient, so a backward pass keeps it
+    and computes ``g * multiplier`` instead of comparing ``x`` again.
+    """
     if not 0.0 <= slope < 1.0:
         raise ShapeError(f"leaky_relu slope must lie in [0, 1), got {slope}")
-    return x * np.where(x >= 0.0, 1.0, slope)
-
-
-def leaky_relu_grad(g: Array, x: Array, slope: float) -> Array:
-    """Gradient through ``leaky_relu`` at input ``x``."""
-    return g * np.where(x >= 0.0, 1.0, slope)
+    multiplier = np.where(x >= 0.0, 1.0, slope)
+    return x * multiplier, multiplier
 
 
 def sigmoid(x: Array) -> Array:
-    """Logistic function, in a split form that cannot overflow ``exp``."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    """Logistic function, in a split form that cannot overflow ``exp``:
+    1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(g: Array, y: Array) -> Array:
@@ -114,7 +117,9 @@ class Linear:
                 f"linear layer expects input [b x {self.in_dim}], got {x.shape}"
             )
         self._x = x
-        return x @ self.weights + self.bias
+        out = x @ self.weights
+        out += self.bias
+        return out
 
     def backward(self, g: Array, input_grad: bool = True) -> Array | None:
         """Parameter gradients of the last forward; the input gradient unless
@@ -170,7 +175,9 @@ class CondBatchNorm1d:
         if not training:
             normalized = ((x + self.running_mean * -1.0)
                           * ((self.running_var + self.eps) ** -0.5))
-            return gamma_rows * normalized + self.beta[labels]
+            out = gamma_rows * normalized
+            out += self.beta[labels]
+            return out
         if b < 2:
             raise ShapeError("training-mode normalization needs a batch of >= 2 "
                              "(variance of a single sample is undefined)")
@@ -185,22 +192,28 @@ class CondBatchNorm1d:
         scale = var_eps ** -0.5
         normalized = centred * scale
         self._cache = (labels, centred, var_eps, scale, normalized, gamma_rows)
-        return gamma_rows * normalized + self.beta[labels]
+        out = gamma_rows * normalized
+        out += self.beta[labels]
+        return out
 
     def backward(self, g: Array) -> Array:
         """Gradients of the last training forward; returns the input gradient."""
         labels, centred, var_eps, scale, normalized, gamma_rows = self._cache
         b = g.shape[0]
-        self.grad_gamma.fill(0.0)
-        np.add.at(self.grad_gamma, labels, g * normalized)
-        self.grad_beta.fill(0.0)
-        np.add.at(self.grad_beta, labels, g)
+        # each row's gradient goes to cell (label, column) of its bank;
+        # bincount adds the rows in row order from 0.0, as a scatter-add
+        # into zeros does, so the sums match the tape's bit for bit
+        cells = (labels[:, None] * self.width + np.arange(self.width)).ravel()
+        for grad, rows in ((self.grad_gamma, g * normalized), (self.grad_beta, g)):
+            grad[...] = np.bincount(cells, rows.ravel(), grad.size).reshape(grad.shape)
         g_normalized = g * gamma_rows
         g_centred = g_normalized * scale
         g_var = ((g_normalized * centred).sum(axis=0, keepdims=True)
                  * -0.5 * var_eps ** -1.5)
-        g_var_branch = g_var * (1.0 / b) * 2.0 * centred ** 1.0
+        g_var_branch = g_var * (1.0 / b) * 2.0 * centred
         g_mean = (g_var_branch.sum(axis=0, keepdims=True) * -1.0
                   + g_centred.sum(axis=0, keepdims=True) * -1.0)
         # the three paths into x add up in the tape's order
-        return (g_var_branch + g_centred) + g_mean * (1.0 / b)
+        g_var_branch += g_centred
+        g_var_branch += g_mean * (1.0 / b)
+        return g_var_branch

@@ -354,7 +354,9 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             writer = csv.writer(fh)
             writer.writerow(["label"] + [f"f{i}" for i in range(dataset.schema.feature_dim)])
             for label, row in zip(dataset.labels, dataset.features):
-                writer.writerow([int(label)] + [repr(float(v)) for v in row])
+                # one row at a time: a whole-array tolist() would hold every
+                # value as a Python float at once
+                writer.writerow([int(label), *map(repr, row.tolist())])
     else:
         raise DataError(f"unknown dataset format {fmt!r}; use 'binary' or 'csv'")
 
@@ -423,23 +425,29 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
         raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
     schema = _header_schema(meta, f"{path}: CSV comment header")
     reader = csv.reader(fh)
-    if next(reader, None) is None:
-        raise DataError(f"{path}: CSV has no column header line")
     width = schema.feature_dim + 1
     labels_list, rows = [], []
-    for lineno, row in enumerate(reader, start=3):
-        if len(row) != width:
-            raise DataError(f"{path} line {lineno}: expected {width} fields, "
-                            f"got {len(row)}")
-        try:
-            labels_list.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: the label or a feature is "
-                            f"not a number") from None
+    try:
+        if next(reader, None) is None:
+            raise DataError(f"{path}: CSV has no column header line")
+        for lineno, row in enumerate(reader, start=3):
+            if len(row) != width:
+                raise DataError(f"{path} line {lineno}: expected {width} fields, "
+                                f"got {len(row)}")
+            try:
+                labels_list.append(int(row[0]))
+                rows.append(list(map(float, row[1:])))
+            except ValueError:
+                raise DataError(f"{path} line {lineno}: the label or a feature is "
+                                f"not a number") from None
+        labels = np.array(labels_list, dtype=np.int64)
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise DataError(f"{path} line {reader.line_num + 1}: {exc}") from None
+    except OverflowError:
+        raise DataError(f"{path}: a label does not fit in 64 bits") from None
     features = (np.array(rows) if rows
                 else np.zeros((0, schema.feature_dim)))
-    return _checked(features, np.array(labels_list, dtype=np.int64), schema, path)
+    return _checked(features, labels, schema, path)
 
 
 def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> None:

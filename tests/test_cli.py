@@ -129,6 +129,36 @@ class TestExitCodes:
         assert "experiment config" in err and next(iter(setting)) in err
         assert not (out / "results").exists()
 
+    @pytest.mark.parametrize("setting", [
+        {"smote_k": 0}, {"borderline_m": 0}, {"kmeans_clusters": 0},
+        {"kmeans_threshold": float("nan")}, {"svm_penalty": 0}, {"svm_penalty": -1},
+        {"svm_penalty": float("nan")},
+    ], ids=["smote-k-0", "borderline-m-0", "clusters-0", "nan-threshold", "penalty-0",
+            "negative-penalty", "nan-penalty"])
+    def test_bad_balancer_setting_is_two(self, preprocessed, tmp_path, setting, capsys):
+        # before, each of these ran: the rows that read the setting FAILED (or,
+        # for NaN, quietly fell back to plain SMOTE) and run-all exited 0
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(out), "seed": 3, "epochs": 2,
+                                      "lr": 0.001, "batch_size": 64, **setting}))
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "experiment config" in err and next(iter(setting)) in err
+        assert not (out / "results").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--smote-k", "0"), ("--svm-penalty", "nan"),
+                                            ("--kmeans-threshold", "nan")])
+    def test_bad_balancer_flag_is_two(self, preprocessed, tmp_path, flag, value, capsys):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        rc = main(["run-all", "--out-dir", str(out), "--seed", "3", "--epochs", "2",
+                   flag, value])
+        assert rc == EXIT_DATA
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "results").exists()
+
     @pytest.mark.parametrize("lr", ["-1", "0", "nan"])
     def test_bad_learning_rate_flag_is_two(self, preprocessed, tmp_path, lr, capsys):
         out = tmp_path / "exp"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from c2bnvae.errors import LabelError, ShapeError
 from c2bnvae.model import C2BNVAE, ModelConfig
 from c2bnvae.nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters,
-                        he_init, leaky_relu, one_hot)
+                        he_init, leaky_relu, one_hot, sigmoid)
 
 from helpers import assert_grads_close, finite_diff_grads
 
@@ -52,9 +54,12 @@ class TestLinear:
 
 class TestLeakyRelu:
     def test_examples(self):
-        np.testing.assert_allclose(leaky_relu(np.array([[2.0]]), 0.01), [[2.0]])
-        np.testing.assert_allclose(leaky_relu(np.array([[-1.0]]), 0.01), [[-0.01]])
-        np.testing.assert_allclose(leaky_relu(np.array([[0.0]]), 0.7), [[0.0]])
+        # (output, multiplier): the multiplier is the local gradient
+        for x, slope, out, multiplier in ((2.0, 0.01, 2.0, 1.0), (-1.0, 0.01, -0.01, 0.01),
+                                          (0.0, 0.7, 0.0, 1.0)):
+            got = leaky_relu(np.array([[x]]), slope)
+            np.testing.assert_allclose(got[0], [[out]])
+            assert got[1].tolist() == [[multiplier]]
 
     def test_slope_validated(self):
         with pytest.raises(ShapeError):
@@ -239,3 +244,75 @@ def test_flatten_parameters_makes_views():
     lin.backward(np.ones((4, 2)), input_grad=False)
     assert np.array_equal(grads[:8], np.full(8, 4.0))
     assert np.all(grads[8:] == 0.0)
+
+
+# --------------------------------------------------------------------------
+# the fast forms equal, bit for bit, the forms the autodiff tape takes
+# --------------------------------------------------------------------------
+
+def signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda t: -t[1] if t[0] else t[1])
+
+
+# zeros of both signs and magnitudes from 1e-20 to 1e20
+GRADIENT_VALUES = signed(st.one_of(st.just(0.0), st.floats(1e-20, 1e20)))
+
+
+@st.composite
+def cbn_cases(draw):
+    """(banks, labels, upstream gradient, seed) with some banks absent."""
+    banks = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 6))
+    batch = draw(st.integers(2, 24))
+    present = draw(st.lists(st.integers(0, banks - 1), min_size=1, max_size=banks,
+                            unique=True))
+    labels = np.array(draw(st.lists(st.sampled_from(present), min_size=batch,
+                                    max_size=batch)), dtype=np.int64)
+    g = np.array(draw(st.lists(GRADIENT_VALUES, min_size=batch * width,
+                               max_size=batch * width))).reshape(batch, width)
+    return banks, labels, g, draw(st.integers(0, 2**32 - 1))
+
+
+def scatter_add(banks: int, labels, rows):
+    out = np.zeros((banks, rows.shape[1]))
+    np.add.at(out, labels, rows)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cbn_cases())
+@example((1, np.zeros(2, dtype=np.int64), np.array([[-0.0, 1e20], [0.0, -1e-20]]), 0))
+@example((5, np.array([4, 4]), np.array([[1.0, -0.0], [-1.0, 0.0]]), 1))
+def test_cbn_affine_gradients_equal_a_scatter_add(case):
+    banks, labels, g, seed = case
+    rng = np.random.default_rng(seed)
+    bank = CondBatchNorm1d(banks, g.shape[1])
+    bank.gamma[...] = rng.normal(size=bank.gamma.shape)
+    bank.beta[...] = rng.normal(size=bank.beta.shape)
+    bank(rng.normal(size=g.shape), labels, training=True)
+    normalized = bank._cache[4]
+    bank.backward(g)
+    assert bank.grad_gamma.tobytes() == scatter_add(banks, labels, g * normalized).tobytes()
+    assert bank.grad_beta.tobytes() == scatter_add(banks, labels, g).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(signed(st.floats(0.0, 1e300)), GRADIENT_VALUES),
+                min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.01, 0.2, 0.7]))
+def test_leaky_relu_multiplier_equals_the_recomputed_gradient(pairs, slope):
+    x, g = (np.array(column) for column in zip(*pairs))
+    out, multiplier = leaky_relu(x, slope)
+    recomputed = np.where(x >= 0.0, 1.0, slope)
+    assert out.tobytes() == (x * recomputed).tobytes()
+    assert (g * multiplier).tobytes() == (g * recomputed).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(signed(st.floats(0.0, 800.0)), min_size=1, max_size=40))
+@example([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 36.0, -745.2])
+def test_sigmoid_equals_the_three_exp_form(values):
+    x = np.array(values)
+    three_exp = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert sigmoid(x).tobytes() == three_exp.tobytes()

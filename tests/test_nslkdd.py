@@ -3,14 +3,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError, LabelError
 from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMAT_VERSION, DATASET_MAGIC,
                             NUM_CATEGORIES, EncodedDataset, EncodingSchema,
                             class_counts, default_taxonomy, fit_schema,
                             inverse_transform, load_dataset, load_schema,
                             load_taxonomy, map_attack, parse_records,
-                            read_records, save_dataset, save_schema, transform)
+                            read_records, save_dataset, save_schema, synthetic_schema,
+                            transform)
 
 import corpus
 
@@ -500,3 +504,83 @@ class TestAtomicWrites:
                 fh.write("{partial")
                 raise RuntimeError("killed")
         assert list(tmp_path.iterdir()) == []
+
+
+# fields a mutation may put in place of a CSV field
+CSV_TOKENS = ["", "nan", "-inf", "1e999", "-0", "0x1", " 1", "1_0", "\u0663", "9" * 25,
+              "-" + "9" * 25, '"', '""', "\x00", "5", "0.5,0.5", "1" * 200_000]
+
+
+def csv_mutations(raw: bytes):
+    """Byte edits (truncation, flips, insertions) and line edits (drop, repeat
+    or swap lines, replace one field) of a valid CSV dataset file."""
+    n = len(raw)
+    lines = raw.split(b"\n")
+
+    def flip(edits):
+        out = bytearray(raw)
+        for offset, mask in edits:
+            out[offset] ^= mask
+        return bytes(out)
+
+    def edit_lines(args):
+        kind, i, j, field, token = args
+        out = list(lines)
+        if kind == "drop":
+            del out[i]
+        elif kind == "repeat":
+            out.insert(i, out[i])
+        elif kind == "swap":
+            out[i], out[j] = out[j], out[i]
+        else:
+            fields = out[i].split(b",")
+            fields[field % len(fields)] = token.encode()
+            out[i] = b",".join(fields)
+        return b"\n".join(out)
+
+    index = st.integers(0, len(lines) - 1)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda k: raw[:k]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+                 min_size=1, max_size=8).map(flip),
+        st.tuples(st.integers(0, n), st.binary(min_size=1, max_size=8)).map(
+            lambda a: raw[:a[0]] + a[1] + raw[a[0]:]),
+        st.tuples(st.sampled_from(["drop", "repeat", "swap", "field"]), index, index,
+                  st.integers(0, 8), st.sampled_from(CSV_TOKENS)).map(edit_lines))
+
+
+class TestCsvFuzz:
+    """Every mutation of a valid CSV dataset either loads or ends as a
+    DataError, and ``run-all`` over such a file exits 2."""
+
+    def test_csv_loads_or_is_data_error(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        tiny = EncodedDataset(features=rng.random((5, 3)), labels=np.array([0, 4, 1, 0, 2]),
+                              schema=synthetic_schema(3))
+        root = tmp_path_factory.mktemp("csv_fuzz")
+        (root / "encoded").mkdir()
+        path = root / "encoded" / "train.csv"
+        save_dataset(tiny, path, fmt="csv", manifest={"seed": 7})
+        raw = path.read_bytes()
+        save_dataset(tiny, root / "encoded" / "test.csv", fmt="csv")
+        config = root / "config.json"
+        config.write_text(json.dumps({"out_dir": str(root), "dataset_format": "csv"}))
+
+        lines = raw.split(b"\n")  # the comment, the column names, five rows
+
+        def first_row(text: bytes) -> bytes:
+            return b"\n".join(lines[:2] + [text] + lines[3:])
+
+        @settings(max_examples=400, deadline=None)
+        @given(csv_mutations(raw))
+        @example(first_row(b"9" * 25 + lines[2][1:]))  # a label past 64 bits
+        @example(first_row(b"0," + b"1" * 200_000 + b",0,0"))  # past the csv field limit
+        @example(first_row(lines[2].replace(b",", b"\x00,", 1)))
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                load_dataset(path)
+            except DataError:
+                assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+
+        check()
