@@ -18,7 +18,7 @@ from .experiment import (ExperimentConfig, count_report, load_encoded,
                          load_reports, manifest_line, manifest_for, preprocess,
                          run_all, train_generator)
 from .metrics import results_table
-from .nslkdd import CATEGORY_NAMES
+from .nslkdd import CATEGORY_NAMES, DATASET_FORMATS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,7 @@ def cli(verbose: bool) -> None:
 @click.option("--pad-to", type=int, default=None,
               help="Pad encoded width with zero columns (123 reproduces the "
                    "published shapes). Use 0 to disable padding.")
-@click.option("--fmt", "dataset_format", type=click.Choice(["binary", "csv"]),
+@click.option("--fmt", "dataset_format", type=click.Choice(DATASET_FORMATS),
               default=None, help="Encoded dataset file format.")
 def cmd_preprocess(config_path, **overrides) -> None:
     """Parse NSL-KDD files, encode both splits and write schema + counts."""

@@ -1,4 +1,5 @@
-"""Parameter and per-sample FLOP accounting for dense architectures.
+"""Parameter and per-sample FLOP accounting, read from the layers a model
+builds.
 
 Counting convention (documented because published figures only pin down one
 consistent reading):
@@ -15,7 +16,8 @@ consistent reading):
 
 Under "published" the default architecture reproduces the reported encoder /
 decoder / total figures exactly: (22744, 22560), (20883, 20640),
-(43627, 43200).
+(43627, 43200). Under "trainable" the total is the size of the model's
+parameter vector.
 """
 
 from __future__ import annotations
@@ -23,23 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
+from .model import C2BNVAE
+from .nn import CondBatchNorm1d, Linear
 
 CONVENTIONS = ("published", "trainable")
 
-
-@dataclass(frozen=True)
-class LinearSpec:
-    in_dim: int
-    out_dim: int
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    width: int
-    num_classes: int = 1
-
-
-LayerSpec = LinearSpec | NormSpec
+# the component each layer-name prefix of ``C2BNVAE.named_layers`` belongs to
+COMPONENTS = {"enc": "encoder", "dec": "decoder"}
 
 
 @dataclass(frozen=True)
@@ -48,29 +40,25 @@ class CostReport:
     total: tuple[int, int]
 
 
-def count_layer(spec: LayerSpec, convention: str = "published") -> tuple[int, int]:
+def count_layer(layer: Linear | CondBatchNorm1d,
+                convention: str = "published") -> tuple[int, int]:
     if convention not in CONVENTIONS:
         raise ShapeError(f"unknown counting convention {convention!r}")
-    if isinstance(spec, LinearSpec):
-        return spec.in_dim * spec.out_dim + spec.out_dim, spec.in_dim * spec.out_dim
-    if isinstance(spec, NormSpec):
-        pairs = 1 if convention == "published" else spec.num_classes
-        return 2 * spec.width * pairs, 4 * spec.width
-    raise ShapeError(f"unknown layer spec {spec!r}")
+    if isinstance(layer, Linear):
+        return layer.in_dim * layer.out_dim + layer.out_dim, layer.in_dim * layer.out_dim
+    pairs = 1 if convention == "published" else layer.num_classes
+    return 2 * layer.width * pairs, 4 * layer.width
 
 
-def count_params_flops(arch: dict[str, list[LayerSpec]],
-                       convention: str = "published") -> CostReport:
-    """Per-component and summed (params, flops) for an architecture descriptor."""
-    components: dict[str, tuple[int, int]] = {}
-    total_p = total_f = 0
-    for name, layers in arch.items():
-        p = f = 0
-        for spec in layers:
-            lp, lf = count_layer(spec, convention)
-            p += lp
-            f += lf
-        components[name] = (p, f)
-        total_p += p
-        total_f += f
-    return CostReport(components=components, total=(total_p, total_f))
+def count_params_flops(model: C2BNVAE, convention: str = "published") -> CostReport:
+    """Per-component and summed (params, flops) of a built model:
+    its ``enc.*`` layers are the encoder, its ``dec.*`` layers the decoder."""
+    components = {name: (0, 0) for name in COMPONENTS.values()}
+    for name, layer in model.named_layers():
+        component = COMPONENTS[name.split(".", 1)[0]]
+        p, f = components[component]
+        lp, lf = count_layer(layer, convention)
+        components[component] = (p + lp, f + lf)
+    total = (sum(p for p, _ in components.values()),
+             sum(f for _, f in components.values()))
+    return CostReport(components=components, total=total)

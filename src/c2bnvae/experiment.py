@@ -34,7 +34,7 @@ from .costing import count_params_flops
 from .errors import DataError, ShapeError
 from .metrics import EvalReport, confusion, results_table
 from .model import Checkpoint, ModelConfig, TraceRow
-from .nslkdd import (CATEGORY_NAMES, NUM_CATEGORIES, EncodedDataset,
+from .nslkdd import (CATEGORY_NAMES, DATASET_FORMATS, NUM_CATEGORIES, EncodedDataset,
                      class_counts, default_taxonomy, fit_schema, load_dataset,
                      load_taxonomy, map_attack, read_records, save_dataset,
                      save_schema, transform)
@@ -103,10 +103,14 @@ class ExperimentConfig:
         self.hidden_widths = tuple(self.hidden_widths)
         if not 0.0 < self.subsample <= 1.0:
             raise DataError(f"subsample must lie in (0, 1], got {self.subsample}")
+        if self.dataset_format not in DATASET_FORMATS:
+            raise DataError(f"bad experiment config: dataset_format must be one of "
+                            f"{DATASET_FORMATS}, got {self.dataset_format!r}")
         # the generator and tree settings are checked where they are defined,
-        # once, at load; feature_dim comes from the data, so any valid width
+        # once, at load; feature_dim comes from the data, so any valid width,
+        # and the master seed stands in for the stage seeds derived from it
         try:
-            self.model_config(feature_dim=1, use_cbn=True, seed=0)
+            self.model_config(feature_dim=1, use_cbn=True, seed=self.seed)
             self.tree_params()
         except ShapeError as exc:
             raise DataError(f"bad experiment config: {exc}") from None
@@ -148,7 +152,7 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             raise DataError(f"bad experiment config {path}: {exc}") from exc
         return cls.from_dict(payload)
 
@@ -418,11 +422,10 @@ def render_svg_chart(rows: list[tuple[str, EvalReport | str]],
 
 
 def count_report(config: ExperimentConfig, feature_dim: int = 123) -> str:
-    """Two-convention cost table for the configured architecture."""
-    model_config = config.model_config(feature_dim, use_cbn=True, seed=0)
-    arch = model_config.architecture()
-    published = count_params_flops(arch, convention="published")
-    trainable = count_params_flops(arch, convention="trainable")
+    """Two-convention cost table of the generator the config builds."""
+    model = model_mod.C2BNVAE(config.model_config(feature_dim, use_cbn=True, seed=0))
+    published = count_params_flops(model, convention="published")
+    trainable = count_params_flops(model, convention="trainable")
     lines = [manifest_line(manifest_for(config, "count")),
              f"architecture: feature_dim={feature_dim} classes={NUM_CATEGORIES} "
              f"latent={config.latent_dim} hidden={list(config.hidden_widths)}",
@@ -449,7 +452,8 @@ def load_reports(results_dir) -> list[tuple[str, EvalReport | str]]:
         try:
             payload = json.loads(path.read_text())
             algorithm, cm = payload["algorithm"], np.array(payload["confusion_matrix"])
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+        # ValueError: bad JSON or UTF-8; RecursionError: nested too deep to parse
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
         if not isinstance(algorithm, str):
             raise DataError(f"report {path}: algorithm must be a string")

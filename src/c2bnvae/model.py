@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costing import LinearSpec, NormSpec
 from .errors import DataError, LabelError, ShapeError, TrainingDiverged
 from .losses import (LOGVAR_MAX, LOGVAR_MIN, clip_logvar, kl_gaussian, kl_gaussian_grad,
                      mse_loss, mse_loss_grad)
@@ -102,6 +101,14 @@ class ModelConfig:
         if self.cbn_placement not in CBN_PLACEMENTS:
             raise ShapeError(f"cbn_placement must be one of {CBN_PLACEMENTS}, "
                              f"got {self.cbn_placement!r}")
+        if not 0.0 <= self.leaky_slope < 1.0:  # also rejects NaN
+            raise ShapeError(f"leaky_slope must lie in [0, 1), got {self.leaky_slope}")
+        if not self.norm_eps > 0:
+            raise ShapeError(f"norm_eps must be positive, got {self.norm_eps}")
+        if not 0.0 < self.norm_momentum < 1.0:
+            raise ShapeError(f"norm_momentum must lie in (0, 1), got {self.norm_momentum}")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def encoder_input_dim(self) -> int:
@@ -110,20 +117,6 @@ class ModelConfig:
     @property
     def decoder_input_dim(self) -> int:
         return self.latent_dim + self.num_classes
-
-    def architecture(self) -> dict[str, list]:
-        """Cost-accounting descriptor: one entry per component."""
-        widths = self.hidden_widths
-        enc: list = [LinearSpec(self.encoder_input_dim, widths[0])]
-        enc += [LinearSpec(a, b) for a, b in zip(widths, widths[1:])]
-        if self.cbn_placement == "encoder_and_decoder":
-            enc.append(NormSpec(widths[-1], self.num_classes if self.use_cbn else 1))
-        enc += [LinearSpec(widths[-1], self.latent_dim)] * 2  # twin heads
-        dec: list = [LinearSpec(self.decoder_input_dim, widths[0])]
-        dec += [LinearSpec(a, b) for a, b in zip(widths, widths[1:])]
-        dec.append(NormSpec(widths[-1], self.num_classes if self.use_cbn else 1))
-        dec.append(LinearSpec(widths[-1], self.feature_dim))
-        return {"encoder": enc, "decoder": dec}
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
@@ -173,8 +166,14 @@ class C2BNVAE:
     All parameters live in one contiguous vector ``params``, and every
     layer's weights are views of it; ``backward`` writes the matching views
     of ``grads``, so one ``Adam`` update over the two vectors trains every
-    layer. Labels must lie in [0, num_classes): ``train`` and ``generate``
-    check them once per call (``nn.check_labels``), not on every forward.
+    layer.
+
+    Data is checked where it enters: ``train`` checks the feature width, the
+    row count and the labels (``nn.check_labels``), ``generate`` the row
+    count and the label, ``from_checkpoint`` the arrays' names and shapes,
+    and ``ModelConfig`` every setting. The methods below trust their
+    arguments: float64 arrays of the configured widths, int64 labels in
+    [0, num_classes), and a batch of at least 2 rows in training mode.
     """
 
     def __init__(self, config: ModelConfig):
@@ -194,7 +193,7 @@ class C2BNVAE:
         self.dec_norm = norm_layer()
         self.out_layer = Linear(widths[-1], config.feature_dim, rng)
         self.params, self.grads = flatten_parameters(
-            [layer for _, layer in self._named_layers()])
+            [layer for _, layer in self.named_layers()])
         # what backward needs from the last forward: the hidden layers'
         # LeakyReLU multipliers and which raw log-variances lay inside the
         # clip range
@@ -203,8 +202,10 @@ class C2BNVAE:
         self._logvar_kept: Array | None = None
 
     # ------------------------------------------------------------------
-    def _named_layers(self) -> list[tuple[str, object]]:
-        named: list[tuple[str, object]] = []
+    def named_layers(self) -> list[tuple[str, Linear | CondBatchNorm1d]]:
+        """Every layer in parameter order, named ``enc.*`` or ``dec.*`` by the
+        half of the model it belongs to."""
+        named: list[tuple[str, Linear | CondBatchNorm1d]] = []
         named += [(f"enc.lin{i}", layer) for i, layer in enumerate(self.enc_linears)]
         if self.enc_norm is not None:
             named.append(("enc.norm", self.enc_norm))
@@ -216,7 +217,7 @@ class C2BNVAE:
     def named_parameters(self) -> dict[str, Array]:
         """Views of ``params``, one per layer parameter."""
         out: dict[str, Array] = {}
-        for name, layer in self._named_layers():
+        for name, layer in self.named_layers():
             if isinstance(layer, Linear):
                 out[f"{name}.W"] = layer.weights
                 out[f"{name}.b"] = layer.bias
@@ -227,23 +228,13 @@ class C2BNVAE:
 
     def named_stats(self) -> dict[str, Array]:
         out: dict[str, Array] = {}
-        for name, layer in self._named_layers():
+        for name, layer in self.named_layers():
             if isinstance(layer, CondBatchNorm1d):
                 out[f"{name}.running_mean"] = layer.running_mean
                 out[f"{name}.running_var"] = layer.running_var
         return out
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _inputs(x, labels, width: int, what: str) -> tuple[Array, Array]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != width:
-            raise ShapeError(f"{what} [b x {width}], got {x.shape}")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (x.shape[0],):
-            raise ShapeError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
-        return x, labels
-
     def _hidden(self, linears: list[Linear], h: Array) -> tuple[Array, list[Array]]:
         multipliers = []
         for lin in linears:
@@ -262,10 +253,8 @@ class C2BNVAE:
         bank 0 of plain batch normalization."""
         return labels if self.config.use_cbn else np.zeros_like(labels)
 
-    def encode(self, x, labels: Array, training: bool = False) -> tuple[Array, Array]:
+    def encode(self, x: Array, labels: Array, training: bool = False) -> tuple[Array, Array]:
         """Posterior mean and clipped log-variance of each row."""
-        x, labels = self._inputs(x, labels, self.config.feature_dim,
-                                 "encoder expects features")
         h = np.concatenate([x, one_hot(labels, self.config.num_classes)], axis=1)
         h, self._enc_multipliers = self._hidden(self.enc_linears, h)
         if self.enc_norm is not None:
@@ -275,10 +264,8 @@ class C2BNVAE:
         self._logvar_kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
         return mu, clip_logvar(raw)
 
-    def decode(self, z, labels: Array, training: bool = False) -> Array:
+    def decode(self, z: Array, labels: Array, training: bool = False) -> Array:
         """Reconstructed features in (0, 1) for latent codes ``z``."""
-        z, labels = self._inputs(z, labels, self.config.latent_dim,
-                                 "decoder expects latents")
         h = np.concatenate([z, one_hot(labels, self.config.num_classes)], axis=1)
         h, self._dec_multipliers = self._hidden(self.dec_linears, h)
         h = self.dec_norm(h, self._banks(labels), training)
@@ -343,8 +330,6 @@ def reparameterize_t(mu: Array, logvar: Array,
 
     Returns ``(z, sigma, noise)``; ``C2BNVAE.backward`` needs the last two.
     """
-    if mu.shape != logvar.shape:
-        raise ShapeError(f"reparameterize shape mismatch: {mu.shape} vs {logvar.shape}")
     sigma = np.exp(clip_logvar(logvar) * 0.5)
     noise = rng.standard_normal(mu.shape)
     return mu + sigma * noise, sigma, noise

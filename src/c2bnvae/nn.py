@@ -8,6 +8,11 @@ to its input. Each expression keeps every rounded operation of the
 autodiff tape's composition of the same layer (``tests/model_reference.py``),
 in the tape's order, so the two agree bit for bit; only where results are
 stored may differ (a copy skipped, a sum written in place).
+
+Nothing here checks its arguments. ``model.C2BNVAE`` is the only caller in
+the package, and it passes arrays built from inputs that ``ModelConfig``,
+``model.train``, ``model.generate`` and ``C2BNVAE.from_checkpoint`` have
+already checked.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ Array = np.ndarray
 
 def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> Array:
     """Zero-mean normal draw with variance 2/fan_in (He initialization)."""
-    if fan_in < 1:
-        raise ShapeError(f"fan_in must be >= 1, got {fan_in}")
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
@@ -33,8 +36,6 @@ def leaky_relu(x: Array, slope: float = 0.01) -> tuple[Array, Array]:
     The multiplier is also the local gradient, so a backward pass keeps it
     and computes ``g * multiplier`` instead of comparing ``x`` again.
     """
-    if not 0.0 <= slope < 1.0:
-        raise ShapeError(f"leaky_relu slope must lie in [0, 1), got {slope}")
     multiplier = np.where(x >= 0.0, 1.0, slope)
     return x * multiplier, multiplier
 
@@ -55,8 +56,8 @@ def check_labels(labels, num_classes: int) -> Array:
     """Labels as a 1-D int64 array; raises LabelError outside [0, num_classes).
 
     The layers and ``one_hot`` index with labels unchecked, so every entry
-    point that takes labels from outside (``model.train``, ``model.generate``)
-    calls this once.
+    point that takes labels from outside checks them once: ``model.train``
+    calls this, and ``model.generate`` range-checks its one label.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
@@ -112,10 +113,6 @@ class Linear:
         self._x: Array | None = None
 
     def __call__(self, x: Array) -> Array:
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"linear layer expects input [b x {self.in_dim}], got {x.shape}"
-            )
         self._x = x
         out = x @ self.weights
         out += self.bias
@@ -137,21 +134,19 @@ class CondBatchNorm1d:
     together); only the affine transform is class-indexed. Variances are
     population (divide by b). Running statistics follow an exponential
     moving average with the given momentum and replace batch statistics in
-    evaluation mode. Labels must lie in [0, num_classes) (``check_labels``).
-    With ``num_classes=1`` and every label 0 this is plain batch
-    normalization, one shared (gamma, beta) pair for all rows.
+    evaluation mode. With ``num_classes=1`` and every label 0 this is plain
+    batch normalization, one shared (gamma, beta) pair for all rows.
+
+    The layer trusts its caller: ``ModelConfig`` checks ``eps`` and
+    ``momentum``, and ``model.train`` and ``model.generate`` check the
+    labels (int64, in [0, num_classes)); ``train`` also skips the
+    singleton batches whose variance would be undefined.
     """
 
     PARAMETERS = ("gamma", "beta")
 
     def __init__(self, num_classes: int, width: int,
                  eps: float = 1e-5, momentum: float = 0.1):
-        if num_classes < 1 or width < 1:
-            raise ShapeError("num_classes and width must be >= 1")
-        if eps <= 0:
-            raise ShapeError(f"eps must be positive, got {eps}")
-        if not 0.0 < momentum < 1.0:
-            raise ShapeError(f"momentum must lie in (0, 1), got {momentum}")
         self.num_classes = num_classes
         self.width = width
         self.eps = eps
@@ -165,12 +160,6 @@ class CondBatchNorm1d:
         self._cache: tuple | None = None
 
     def __call__(self, x: Array, labels: Array, training: bool) -> Array:
-        if x.ndim != 2 or x.shape[1] != self.width:
-            raise ShapeError(f"expected input [b x {self.width}], got {x.shape}")
-        labels = np.asarray(labels, dtype=np.int64)
-        b = x.shape[0]
-        if labels.shape != (b,):
-            raise ShapeError(f"labels shape {labels.shape} does not match batch of {b}")
         gamma_rows = self.gamma[labels]
         if not training:
             normalized = ((x + self.running_mean * -1.0)
@@ -178,9 +167,7 @@ class CondBatchNorm1d:
             out = gamma_rows * normalized
             out += self.beta[labels]
             return out
-        if b < 2:
-            raise ShapeError("training-mode normalization needs a batch of >= 2 "
-                             "(variance of a single sample is undefined)")
+        b = x.shape[0]
         mean = x.sum(axis=0, keepdims=True) * (1.0 / b)
         centred = x + mean * -1.0
         var = (centred ** 2.0).sum(axis=0, keepdims=True) * (1.0 / b)

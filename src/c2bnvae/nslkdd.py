@@ -34,6 +34,7 @@ Array = np.ndarray
 
 DATASET_FORMAT_VERSION = 1
 DATASET_MAGIC = b"C2DS"
+DATASET_FORMATS = ("binary", "csv")
 
 FEATURE_NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -154,8 +155,11 @@ def parse_records(stream: Iterable[str]) -> Iterator[RawRecord]:
 
 
 def read_records(path) -> list[RawRecord]:
-    with open(path) as fh:
-        return list(parse_records(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(parse_records(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -358,7 +362,7 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
                 # value as a Python float at once
                 writer.writerow([int(label), *map(repr, row.tolist())])
     else:
-        raise DataError(f"unknown dataset format {fmt!r}; use 'binary' or 'csv'")
+        raise DataError(f"unknown dataset format {fmt!r}; use one of {DATASET_FORMATS}")
 
 
 def _header_schema(header, what: str) -> EncodingSchema:
@@ -421,7 +425,7 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
         raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
     try:
         meta = json.loads(first[2:])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, too deep
         raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
     schema = _header_schema(meta, f"{path}: CSV comment header")
     reader = csv.reader(fh)
@@ -460,7 +464,7 @@ def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> N
 def load_schema(path) -> EncodingSchema:
     try:
         payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # bad JSON or UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
         raise DataError(f"malformed schema file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"schema file {path} does not hold a JSON object")

@@ -8,21 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-
 Array = np.ndarray
 
 
 class Adam:
-    """Updates a parameter vector in place from its gradient vector."""
+    """Updates a parameter vector in place from its gradient vector.
+
+    ``params`` and ``grads`` are the two vectors of one
+    ``nn.flatten_parameters`` call, so their shapes match, and ``lr`` is a
+    ``ModelConfig.lr``, which that config has checked to be positive.
+    """
 
     def __init__(self, params: Array, grads: Array, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ShapeError(f"learning rate must be positive, got {lr}")
-        if params.shape != grads.shape:
-            raise ShapeError(f"gradient shape {grads.shape} does not match "
-                             f"parameters {params.shape}")
         self.params = params
         self.grads = grads
         self.lr = lr

@@ -1,8 +1,10 @@
-"""Shared test utilities: central finite differences and tolerance checks."""
+"""Shared test utilities: central finite differences, tolerance checks and
+the byte and line mutations the loader fuzz tests apply."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def finite_diff_grads(f, arrays, h: float = 1e-5):
@@ -60,3 +62,52 @@ def assert_backward_matches_finite_differences(model, x, labels, rel_tol: float 
     # the parameters are views of model.params, so perturbing it moves them
     numeric = finite_diff_grads(loss, [model.params])
     assert_grads_close([analytic], numeric, rel_tol=rel_tol)
+
+
+# fields a mutation may put in place of a comma-separated field: of a CSV
+# dataset or raw record file, or of a JSON file (where a "field" runs from
+# one comma to the next)
+CSV_TOKENS = ["", "nan", "-inf", "1e999", "-0", "0x1", " 1", "1_0", "\u0663", "9" * 25,
+              "-" + "9" * 25, '"', '""', "\x00", "5", "0.5,0.5", "1" * 200_000]
+JSON_TOKENS = ["", "NaN", "-Infinity", "1e999", "null", "true", "[]", "{}", '"x"', "-1",
+               "0", "0.5", "9" * 25, "9" * 5000, '"\\ud800"', "\x00", "[" * 100_000,
+               '{"a": ' * 5000]
+
+
+def file_mutations(raw: bytes, tokens: list[str]):
+    """Byte edits (truncation, flips, insertions) and line edits (drop, repeat
+    or swap lines, replace one comma-separated field by one of ``tokens``) of
+    a valid file."""
+    n = len(raw)
+    lines = raw.split(b"\n")
+
+    def flip(edits):
+        out = bytearray(raw)
+        for offset, mask in edits:
+            out[offset] ^= mask
+        return bytes(out)
+
+    def edit_lines(args):
+        kind, i, j, field, token = args
+        out = list(lines)
+        if kind == "drop":
+            del out[i]
+        elif kind == "repeat":
+            out.insert(i, out[i])
+        elif kind == "swap":
+            out[i], out[j] = out[j], out[i]
+        else:
+            fields = out[i].split(b",")
+            fields[field % len(fields)] = token.encode()
+            out[i] = b",".join(fields)
+        return b"\n".join(out)
+
+    index = st.integers(0, len(lines) - 1)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda k: raw[:k]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+                 min_size=1, max_size=8).map(flip),
+        st.tuples(st.integers(0, n), st.binary(min_size=1, max_size=8)).map(
+            lambda a: raw[:a[0]] + a[1] + raw[a[0]:]),
+        st.tuples(st.sampled_from(["drop", "repeat", "swap", "field"]), index, index,
+                  st.integers(0, 8), st.sampled_from(tokens)).map(edit_lines))

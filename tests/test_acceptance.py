@@ -53,8 +53,7 @@ def test_criterion_1_cost_accounting(capsys):
     from c2bnvae.cli import main
 
     start = time.perf_counter()
-    arch = mm.ModelConfig(feature_dim=123, num_classes=5).architecture()
-    report = count_params_flops(arch)
+    report = count_params_flops(mm.C2BNVAE(mm.ModelConfig(feature_dim=123, num_classes=5)))
     assert report.components["encoder"] == (22744, 22560)
     assert report.components["decoder"] == (20883, 20640)
     assert report.total == (43627, 43200)

@@ -28,6 +28,7 @@ def preprocessed(corpus_files, tmp_path_factory):
 
 
 FAST_FLAGS = ["--epochs", "2", "--lr", "0.001", "--batch-size", "64"]
+FAST_CONFIG = {"epochs": 2, "lr": 0.001, "batch_size": 64}
 
 
 class TestExitCodes:
@@ -168,6 +169,56 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert "lr must be positive" in capsys.readouterr().err
         assert not (out / "results").exists()
+
+    @pytest.mark.parametrize("command,setting", [
+        ("run-all", {"seed": -1}),
+        ("preprocess", {"seed": -1, "subsample": 0.5}),
+        ("preprocess", {"dataset_format": "xml"}),
+        ("run-all", {"dataset_format": "xml"}),
+    ], ids=["run-all-seed", "preprocess-seed", "preprocess-format", "run-all-format"])
+    def test_bad_seed_or_format_is_two(self, corpus_files, preprocessed, tmp_path,
+                                       command, setting, capsys):
+        # before, a negative seed failed every run-all row (exit 3) or crashed
+        # the subsample (exit 1), and an unknown format was caught only when
+        # the first dataset was written
+        train, test = corpus_files
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
+                                      "out_dir": str(out), **FAST_CONFIG, **setting}))
+        assert main([command, "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "experiment config" in err and next(iter(setting)) in err
+        assert not (out / "results").exists()
+        assert sorted(p.name for p in (out / "encoded").iterdir()) == sorted(
+            p.name for p in (preprocessed / "encoded").iterdir())
+
+    def test_negative_seed_flag_is_two(self, preprocessed, tmp_path, capsys):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        rc = main(["run-all", "--out-dir", str(out), "--seed", "-1"] + FAST_FLAGS)
+        assert rc == EXIT_DATA
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (out / "results").exists()
+
+    def test_raw_input_that_is_not_utf8_is_two(self, corpus_files, tmp_path, capsys):
+        train, test = corpus_files
+        raw = train.read_bytes()
+        bad_train = tmp_path / "train_latin1.txt"
+        cut = raw.index(b"\n") + 1
+        bad_train.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+        rc = main(["preprocess", "--train", str(bad_train), "--test", str(test),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad_train) in err and "not UTF-8" in err
+
+    def test_deeply_nested_config_is_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"out_dir": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["count", "--config", str(path)]) == EXIT_DATA
+        assert "experiment config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
@@ -444,6 +495,7 @@ class TestReportCommand:
         lambda text: json.dumps({**json.loads(text), "confusion_matrix": [[1, 2], [3]]}),
         lambda text: json.dumps({**json.loads(text), "confusion_matrix": [[1, -2], [3, 4]]}),
         lambda text: "[]",
+        lambda text: "[" * 100_000 + "]" * 100_000,  # past the parser's recursion limit
     ])
     def test_malformed_report_is_data_error(self, preprocessed, tmp_path, edit):
         if not (preprocessed / "results").is_dir():  # run alone, without TestRunAllCommand

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError
 from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
                                 load_encoded, load_reports, manifest_line,
@@ -14,6 +16,7 @@ from c2bnvae.model import TraceRow
 from c2bnvae.nslkdd import class_counts, load_dataset
 
 import corpus
+from helpers import JSON_TOKENS, file_mutations
 
 FAST = dict(epochs=4, lr=1e-3, batch_size=64, latent_dim=8,
             hidden_widths=(16, 16), smote_k=3, borderline_m=5,
@@ -318,3 +321,48 @@ def test_config_json_round_trip(tmp_path, corpus_files):
     loaded = ExperimentConfig.from_json_file(path)
     assert loaded == config
     assert manifest_line({"a": 1}) == '# manifest {"a":1}'
+
+
+class TestReportAndConfigFuzz:
+    """Every mutation of a report file or a config file either loads or ends
+    as a DataError, and the command that reads it then exits 2."""
+
+    def test_reports_load_or_are_data_error(self, tmp_path_factory):
+        results = tmp_path_factory.mktemp("report_fuzz")
+        cm = np.array([[5, 1, 0, 0, 0], [0, 4, 1, 0, 0], [1, 0, 3, 0, 0],
+                       [0, 0, 0, 2, 1], [0, 0, 0, 0, 1]])
+        report = EvalReport.from_confusion("SMOTE", cm)
+        path = results / "smote.json"
+        raw = report.to_json(manifest={"seed": 7}).encode()
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, JSON_TOKENS))
+        @example(b"[" * 100_000 + b"]" * 100_000)  # past the parser's recursion limit
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                load_reports(results)
+            except DataError:
+                assert main(["report", "--results-dir", str(results)]) == EXIT_DATA
+
+        check()
+
+    def test_config_loads_or_is_data_error(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config_fuzz") / "config.json"
+        config = {"train_path": "train.txt", "test_path": "test.txt", "out_dir": "out",
+                  "taxonomy_path": None, "seed": 3, "subsample": 0.5, "pad_to": 123,
+                  "dataset_format": "csv", "hidden_widths": [8, 8], "lr": 0.001,
+                  "kmeans_threshold": 0.5, "max_depth": None, "emit_svg": False}
+        raw = json.dumps(config, indent=2).encode()
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, JSON_TOKENS))
+        @example(b'{"out_dir": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                ExperimentConfig.from_json_file(path)
+            except DataError:
+                assert main(["count", "--config", str(path)]) == EXIT_DATA
+
+        check()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from c2bnvae.errors import ShapeError
 from c2bnvae.losses import kl_gaussian, mse_loss
 
 
@@ -21,10 +20,6 @@ class TestMse:
     def test_row_example(self):
         assert mse_loss(np.array([[0.0, 0.0]]),
                         np.array([[3.0, 4.0]])).item() == pytest.approx(12.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestKl:
@@ -43,10 +38,6 @@ class TestKl:
         # the clamp keeps exp() bounded
         value = kl_gaussian(np.zeros((2, 2)), np.full((2, 2), 1e6)).item()
         assert np.isfinite(value)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            kl_gaussian(np.zeros((2, 2)), np.zeros((3, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)),

@@ -10,7 +10,7 @@ from c2bnvae.errors import (CheckpointError, DataError, LabelError, ShapeError,
 from c2bnvae.losses import LOGVAR_MAX, LOGVAR_MIN
 from c2bnvae.model import (C2BNVAE, Checkpoint, ModelConfig, generate,
                            reparameterize_t, train)
-from c2bnvae.nn import check_labels
+from c2bnvae.nn import CondBatchNorm1d
 
 from helpers import assert_backward_matches_finite_differences
 
@@ -68,16 +68,6 @@ class TestEncodeDecode:
         mu, _ = model.encode(x, np.array([0, 1]), training=False)
         assert not np.allclose(mu[0], mu[1])
 
-    def test_encoder_validates_inputs(self):
-        model = C2BNVAE(ModelConfig(feature_dim=5, num_classes=2))
-        with pytest.raises(ShapeError):
-            model.encode(np.zeros((2, 4)), np.array([0, 1]))
-        with pytest.raises(ShapeError, match="labels shape"):
-            model.encode(np.zeros((2, 5)), np.array([0, 1, 1]))
-        # labels are range-checked once per train or generate call
-        with pytest.raises(LabelError):
-            check_labels(np.array([0, 2]), model.config.num_classes)
-
     def test_cbn_placement_decoder_only(self):
         model = C2BNVAE(ModelConfig(feature_dim=5, num_classes=2,
                                     cbn_placement="decoder_only"))
@@ -103,10 +93,6 @@ class TestReparameterize:
                                    np.random.default_rng(3))
         assert abs(z.mean()) < 5.0 / np.sqrt(z.size)
         assert abs(z.var() - 1.0) < 0.05
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            reparameterize_t(np.zeros((2, 2)), np.zeros((2, 3)), np.random.default_rng(0))
 
 
 class TestLoss:
@@ -176,6 +162,36 @@ class TestTrain:
         data.labels = data.labels[:40]
         with pytest.raises(DataError, match="64 feature rows but 40 labels"):
             train(data, blob_config(epochs=1))
+
+    def test_rejects_features_of_the_wrong_width(self):
+        # the encoder's input is checked here, once, not on every forward
+        data = Blobs(n=64)
+        with pytest.raises(ShapeError, match=r"expected \[n x 5\]"):
+            train(data, blob_config(feature_dim=5, epochs=1))
+        data.features = data.features[:, 0]
+        with pytest.raises(ShapeError, match=r"expected \[n x 6\]"):
+            train(data, blob_config(epochs=1))
+
+    def test_singleton_batches_never_reach_the_normalization(self, monkeypatch):
+        # 5 rows in batches of 2 leave a last batch of 1 each epoch, which
+        # has no batch variance: train skips it
+        sizes = []
+        forward = CondBatchNorm1d.__call__
+
+        def recording(self, x, labels, training):
+            if training:
+                sizes.append(x.shape[0])
+            return forward(self, x, labels, training)
+
+        monkeypatch.setattr(CondBatchNorm1d, "__call__", recording)
+        train(Blobs(n=5), blob_config(epochs=3, batch_size=2))
+        assert sizes and min(sizes) == 2
+        with pytest.raises(DataError, match="every batch was skipped"):
+            train(Blobs(n=5), blob_config(epochs=1, batch_size=1))
+        one_row = Blobs(n=2)
+        one_row.features, one_row.labels = one_row.features[:1], one_row.labels[:1]
+        with pytest.raises(DataError, match="at least 2 rows"):
+            train(one_row, blob_config(epochs=1))
 
     def test_nan_features_abort_with_location(self):
         data = Blobs(n=64)
@@ -377,6 +393,30 @@ def test_config_rejects_bad_loss_and_step_settings(setting):
     with pytest.raises(ShapeError, match=next(iter(setting))):
         ModelConfig(feature_dim=123, num_classes=5, **setting)
     assert ModelConfig(feature_dim=123, num_classes=5, kl_weight=0.0).kl_weight == 0.0
+
+
+# settings only the layers used to check, now checked by ModelConfig
+BAD_LAYER_SETTINGS = [{"leaky_slope": 2.0}, {"leaky_slope": -0.1},
+                      {"leaky_slope": float("nan")}, {"norm_eps": -1.0},
+                      {"norm_eps": 0.0}, {"norm_eps": float("nan")},
+                      {"norm_momentum": 1.5}, {"norm_momentum": 0.0},
+                      {"norm_momentum": float("nan")}, {"seed": -1}]
+BAD_LAYER_IDS = [f"{k}={v}" for d in BAD_LAYER_SETTINGS for k, v in d.items()]
+
+
+@pytest.mark.parametrize("setting", BAD_LAYER_SETTINGS, ids=BAD_LAYER_IDS)
+def test_config_rejects_bad_layer_settings(setting):
+    with pytest.raises(ShapeError, match=next(iter(setting))):
+        ModelConfig(feature_dim=123, num_classes=5, **setting)
+
+
+@pytest.mark.parametrize("setting", BAD_LAYER_SETTINGS, ids=BAD_LAYER_IDS)
+def test_checkpoint_with_a_bad_layer_setting_is_checkpoint_error(setting):
+    raw = checkpoint_bytes(TestCheckpointIO().make_checkpoint())
+    edited = TestCheckpointIO.with_header(
+        raw, lambda h: {**h, "config": {**h["config"], **setting}})
+    with pytest.raises(CheckpointError, match=next(iter(setting))):
+        load_checkpoint(edited)
 
 
 def test_logvar_head_output_is_clamped():

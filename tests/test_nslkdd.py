@@ -17,6 +17,7 @@ from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMAT_VERSION, DATASET_MAGI
                             transform)
 
 import corpus
+from helpers import CSV_TOKENS, JSON_TOKENS, file_mutations
 
 
 @pytest.fixture(scope="module")
@@ -506,49 +507,6 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
 
-# fields a mutation may put in place of a CSV field
-CSV_TOKENS = ["", "nan", "-inf", "1e999", "-0", "0x1", " 1", "1_0", "\u0663", "9" * 25,
-              "-" + "9" * 25, '"', '""', "\x00", "5", "0.5,0.5", "1" * 200_000]
-
-
-def csv_mutations(raw: bytes):
-    """Byte edits (truncation, flips, insertions) and line edits (drop, repeat
-    or swap lines, replace one field) of a valid CSV dataset file."""
-    n = len(raw)
-    lines = raw.split(b"\n")
-
-    def flip(edits):
-        out = bytearray(raw)
-        for offset, mask in edits:
-            out[offset] ^= mask
-        return bytes(out)
-
-    def edit_lines(args):
-        kind, i, j, field, token = args
-        out = list(lines)
-        if kind == "drop":
-            del out[i]
-        elif kind == "repeat":
-            out.insert(i, out[i])
-        elif kind == "swap":
-            out[i], out[j] = out[j], out[i]
-        else:
-            fields = out[i].split(b",")
-            fields[field % len(fields)] = token.encode()
-            out[i] = b",".join(fields)
-        return b"\n".join(out)
-
-    index = st.integers(0, len(lines) - 1)
-    return st.one_of(
-        st.integers(0, n - 1).map(lambda k: raw[:k]),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
-                 min_size=1, max_size=8).map(flip),
-        st.tuples(st.integers(0, n), st.binary(min_size=1, max_size=8)).map(
-            lambda a: raw[:a[0]] + a[1] + raw[a[0]:]),
-        st.tuples(st.sampled_from(["drop", "repeat", "swap", "field"]), index, index,
-                  st.integers(0, 8), st.sampled_from(CSV_TOKENS)).map(edit_lines))
-
-
 class TestCsvFuzz:
     """Every mutation of a valid CSV dataset either loads or ends as a
     DataError, and ``run-all`` over such a file exits 2."""
@@ -572,7 +530,7 @@ class TestCsvFuzz:
             return b"\n".join(lines[:2] + [text] + lines[3:])
 
         @settings(max_examples=400, deadline=None)
-        @given(csv_mutations(raw))
+        @given(file_mutations(raw, CSV_TOKENS))
         @example(first_row(b"9" * 25 + lines[2][1:]))  # a label past 64 bits
         @example(first_row(b"0," + b"1" * 200_000 + b",0,0"))  # past the csv field limit
         @example(first_row(lines[2].replace(b",", b"\x00,", 1)))
@@ -582,5 +540,55 @@ class TestCsvFuzz:
                 load_dataset(path)
             except DataError:
                 assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+
+        check()
+
+
+class TestRecordAndSchemaFuzz:
+    """Every mutation of a raw record file either parses or ends as a
+    DataError, and ``preprocess`` over any of them exits 0 or 2; every
+    mutation of a schema file loads or ends as a DataError."""
+
+    def test_raw_records_parse_or_are_data_error(self, corpus_files, tmp_path_factory):
+        train, test = corpus_files
+        root = tmp_path_factory.mktemp("record_fuzz")
+        raw = b"".join(train.read_bytes().splitlines(keepends=True)[:6])
+        small_test = root / "test.txt"
+        small_test.write_bytes(b"".join(test.read_bytes().splitlines(keepends=True)[:6]))
+        path = root / "train.txt"
+        config = root / "config.json"
+        config.write_text(json.dumps({"train_path": str(path), "test_path": str(small_test),
+                                      "out_dir": str(root / "out")}))
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, CSV_TOKENS))
+        @example(raw.replace(b",", b",\xff", 1))  # not UTF-8
+        @example(raw.replace(b"\n", b"\r", 1))  # an old Mac line end
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                read_records(path)
+            except DataError:
+                assert main(["preprocess", "--config", str(config)]) == EXIT_DATA
+            else:
+                assert main(["preprocess", "--config", str(config)]) in (0, EXIT_DATA)
+
+        check()
+
+    def test_schema_loads_or_is_data_error(self, fitted, tmp_path_factory):
+        schema, _, _ = fitted
+        path = tmp_path_factory.mktemp("schema_fuzz") / "schema.json"
+        save_schema(schema, path, manifest={"seed": 7})
+        raw = path.read_bytes()
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, JSON_TOKENS))
+        @example(b"[" * 100_000 + b"]" * 100_000)  # past the parser's recursion limit
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                load_schema(path)
+            except DataError:
+                pass
 
         check()
