@@ -35,8 +35,8 @@ from .errors import DataError, ShapeError
 from .metrics import EvalReport, confusion, results_table
 from .model import Checkpoint, ModelConfig, TraceRow
 from .nslkdd import (CATEGORY_NAMES, DATASET_FORMATS, NUM_CATEGORIES, EncodedDataset,
-                     class_counts, default_taxonomy, fit_schema, load_dataset,
-                     load_taxonomy, map_attack, read_records, save_dataset,
+                     attack_labels, class_counts, default_taxonomy, fit_schema,
+                     load_dataset, load_taxonomy, read_records, save_dataset,
                      save_schema, transform)
 
 logger = logging.getLogger(__name__)
@@ -210,7 +210,7 @@ def stratified_subsample(labels: np.ndarray, fraction: float,
         idx = np.flatnonzero(labels == label)
         take = max(1, int(round(fraction * idx.size)))
         keep.append(rng.choice(idx, size=take, replace=False))
-    return np.sort(np.concatenate(keep))
+    return np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=np.int64)
 
 
 def preprocess(config: ExperimentConfig) -> dict:
@@ -229,10 +229,10 @@ def preprocess(config: ExperimentConfig) -> dict:
     if config.subsample < 1.0:
         subsampled = []
         for name, records in (("train", train_records), ("test", test_records)):
-            labels = np.array([map_attack(r.attack_name, taxonomy) for r in records])
             rng = np.random.default_rng(stage_seed(config.seed, f"subsample.{name}"))
-            idx = stratified_subsample(labels, config.subsample, rng)
-            subsampled.append([records[i] for i in idx])
+            idx = stratified_subsample(attack_labels(records, taxonomy),
+                                       config.subsample, rng)
+            subsampled.append(records[idx])
         train_records, test_records = subsampled
     schema = fit_schema(train_records, extra_vocab_records=test_records,
                         pad_to=config.pad_to)

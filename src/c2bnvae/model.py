@@ -109,6 +109,25 @@ class ModelConfig:
             raise ShapeError(f"norm_momentum must lie in (0, 1), got {self.norm_momentum}")
         if self.seed < 0:
             raise ShapeError(f"seed must be >= 0, got {self.seed}")
+        # every parameter lives in one float64 vector, and numpy cannot even
+        # describe an array past this many bytes
+        if 8 * self.parameter_count > np.iinfo(np.intp).max:
+            raise ShapeError(f"these widths give {self.parameter_count} parameters, "
+                             f"more than one array can hold")
+
+    @property
+    def parameter_count(self) -> int:
+        """The length of the parameter vector of the ``C2BNVAE`` this builds."""
+        widths = self.hidden_widths
+
+        def linears(dims):
+            return sum(a * b + b for a, b in zip(dims, dims[1:]))
+
+        norms = 2 if self.cbn_placement == "encoder_and_decoder" else 1
+        return (linears((self.encoder_input_dim,) + widths)
+                + 2 * linears((widths[-1], self.latent_dim))
+                + linears((self.decoder_input_dim,) + widths + (self.feature_dim,))
+                + norms * 2 * (self.num_classes if self.use_cbn else 1) * widths[-1])
 
     @property
     def encoder_input_dim(self) -> int:
@@ -177,6 +196,13 @@ class C2BNVAE:
     """
 
     def __init__(self, config: ModelConfig):
+        try:
+            self._build(config)
+        except MemoryError:
+            raise DataError(f"cannot allocate a generator of {config.parameter_count} "
+                            f"parameters") from None
+
+    def _build(self, config: ModelConfig) -> None:
         self.config = config
         rng = _derive_rngs(config.seed)[0]
         widths = config.hidden_widths

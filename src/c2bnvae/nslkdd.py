@@ -14,15 +14,17 @@ layout can be reproduced exactly.
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ Array = np.ndarray
 DATASET_FORMAT_VERSION = 1
 DATASET_MAGIC = b"C2DS"
 DATASET_FORMATS = ("binary", "csv")
+CSV_BLOCK = 1024  # rows formatted together by the CSV writer
 
 FEATURE_NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -51,18 +54,16 @@ FEATURE_NAMES = (
 )
 
 CATEGORICAL_INDICES = (1, 2, 3)  # protocol_type, service, flag
+NUMERIC_INDICES = tuple(i for i in range(len(FEATURE_NAMES)) if i not in CATEGORICAL_INDICES)
 NUM_FIELDS = len(FEATURE_NAMES) + 2  # + attack name + difficulty
+# the fields a RecordTable keeps as codes: the categoricals, then the attack name
+CODED_INDICES = CATEGORICAL_INDICES + (len(FEATURE_NAMES),)
+ATTACK_COLUMN = len(CATEGORICAL_INDICES)  # the attack name's column of the codes
+
+PARSE_BLOCK = 2048  # lines split and converted together
 
 CATEGORY_NAMES = ("Normal", "DoS", "Probe", "R2L", "U2R")
 NUM_CATEGORIES = len(CATEGORY_NAMES)
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One traffic record: 41 features (str for categoricals, float otherwise)."""
-    features: tuple
-    attack_name: str
-    difficulty: int
 
 
 @dataclass(frozen=True)
@@ -81,33 +82,42 @@ class ClassTaxonomy:
 
 
 def load_taxonomy(source) -> ClassTaxonomy:
-    """Read a two-column CSV (attack_name, category) with a header line."""
+    """Read a two-column UTF-8 CSV (attack_name, category) with a header line."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        where = source
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"taxonomy file {where} is not UTF-8 text ({exc.reason})") from None
     else:
+        where = getattr(source, "name", "<stream>")
         text = source.read()
     index_of = {name: i for i, name in enumerate(CATEGORY_NAMES)}
     mapping: dict[str, int] = {}
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["attack_name", "category"]:
-        raise DataError("taxonomy file must start with header 'attack_name,category'")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DataError(f"taxonomy line {lineno}: expected 2 fields, got {len(row)}")
-        name, category = row[0].strip(), row[1].strip()
-        if category not in index_of:
-            raise DataError(f"taxonomy line {lineno}: unknown category {category!r}")
-        if name in mapping:
-            raise DataError(f"taxonomy line {lineno}: duplicate attack name {name!r}")
-        mapping[name] = index_of[category]
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["attack_name", "category"]:
+            raise DataError("taxonomy file must start with header 'attack_name,category'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise DataError(f"taxonomy line {lineno}: expected 2 fields, got {len(row)}")
+            name, category = row[0].strip(), row[1].strip()
+            if category not in index_of:
+                raise DataError(f"taxonomy line {lineno}: unknown category {category!r}")
+            if name in mapping:
+                raise DataError(f"taxonomy line {lineno}: duplicate attack name {name!r}")
+            mapping[name] = index_of[category]
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise DataError(f"taxonomy file {where} line {reader.line_num}: {exc}") from None
     return ClassTaxonomy(category_names=CATEGORY_NAMES, mapping=mapping)
 
 
 def default_taxonomy() -> ClassTaxonomy:
-    with resources.files("c2bnvae.data").joinpath("nslkdd_taxonomy.csv").open() as fh:
+    taxonomy = resources.files("c2bnvae.data").joinpath("nslkdd_taxonomy.csv")
+    with taxonomy.open(encoding="utf-8") as fh:
         return load_taxonomy(fh)
 
 
@@ -118,46 +128,150 @@ def map_attack(name: str, taxonomy: ClassTaxonomy) -> int:
         raise LabelError(f"unknown attack name {name!r}; extend the taxonomy file") from None
 
 
-def parse_records(stream: Iterable[str]) -> Iterator[RawRecord]:
-    """Parse CSV lines into records, enforcing field count and numeric fields."""
+@dataclass(frozen=True)
+class RecordTable:
+    """Parsed records, held as columns.
+
+    ``numeric`` holds the 38 numeric features, in ``NUMERIC_INDICES`` order,
+    one row per record. ``codes`` holds each record's protocol_type, service,
+    flag and attack name (``CODED_INDICES``) as indices into ``values``: the
+    distinct strings of each of those fields, in order of first appearance
+    in the parsed file. A selection of rows keeps the file's ``values``, so
+    some of them may belong to no record.
+    """
+    numeric: Array  # [n x 38] float64
+    codes: Array  # [n x 4] int64
+    values: tuple[tuple[str, ...], ...]
+
+    def __len__(self) -> int:
+        return self.numeric.shape[0]
+
+    def __getitem__(self, rows) -> "RecordTable":
+        """The records at ``rows`` (a slice or an index array), in that order."""
+        return RecordTable(self.numeric[rows], self.codes[rows], self.values)
+
+    def present(self, column: int) -> list[str]:
+        """The values of coded ``column`` that some record holds."""
+        held = np.bincount(self.codes[:, column], minlength=len(self.values[column]))
+        return [self.values[column][c] for c in np.flatnonzero(held).tolist()]
+
+
+def parse_records(stream: Iterable[str]) -> RecordTable:
+    """Parse CSV lines into a record table.
+
+    Blank lines are skipped. A malformed line raises DataError: the first one
+    in the stream, for the first check it fails, in this order: the field
+    count, each numeric field in turn (``float()`` must accept it and give a
+    finite value), then the difficulty (``int()`` must accept it; the value
+    is then dropped).
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    categorical = set(CATEGORICAL_INDICES)
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != NUM_FIELDS:
-            raise DataError(f"line {lineno}: expected {NUM_FIELDS} comma-separated "
-                            f"fields, got {len(fields)}")
-        values = []
-        for i in range(len(FEATURE_NAMES)):
-            if i in categorical:
-                values.append(fields[i])
-                continue
-            try:
-                value = float(fields[i])
-            except ValueError:
-                raise DataError(f"line {lineno}: field {FEATURE_NAMES[i]!r} "
-                                f"is not numeric: {fields[i]!r}") from None
-            if not math.isfinite(value):  # float() accepts nan, inf and 1e999
-                raise DataError(f"line {lineno}: field {FEATURE_NAMES[i]!r} "
-                                f"is not finite: {fields[i]!r}")
-            values.append(value)
+    lines = iter(stream)
+    seen: list[dict[str, int]] = [{} for _ in CODED_INDICES]  # value -> code
+    numeric: list[Array] = []
+    codes: list[Array] = []
+    first_lineno = 1
+    while True:
+        block: list[str] = []
         try:
-            difficulty = int(fields[-1])
-        except ValueError:
-            raise DataError(f"line {lineno}: difficulty is not an integer: "
-                            f"{fields[-1]!r}") from None
-        yield RawRecord(features=tuple(values), attack_name=fields[-2],
-                        difficulty=difficulty)
+            block.extend(itertools.islice(lines, PARSE_BLOCK))
+        except UnicodeDecodeError:
+            # the lines decoded before the bad bytes are checked first, as a
+            # reader that takes one line at a time would check them
+            _parse_lines(block, first_lineno, seen)
+            raise
+        if not block:
+            break
+        block_numeric, block_codes = _parse_lines(block, first_lineno, seen)
+        numeric.append(block_numeric)
+        codes.append(block_codes)
+        first_lineno += len(block)
+    return RecordTable(
+        numeric=np.concatenate(numeric) if numeric else np.empty((0, len(NUMERIC_INDICES))),
+        codes=(np.concatenate(codes) if codes
+               else np.empty((0, len(CODED_INDICES)), dtype=np.int64)),
+        values=tuple(tuple(code_of) for code_of in seen))
 
 
-def read_records(path) -> list[RawRecord]:
+def _parse_lines(block: list[str], first_lineno: int,
+                 seen: list[dict[str, int]]) -> tuple[Array, Array]:
+    """The numeric matrix and the codes of the records in ``block``, whose
+    first line is line ``first_lineno``; new coded values join ``seen``."""
+    stripped = list(map(str.strip, block))
+    try:
+        numeric, columns = _split_and_check(list(filter(None, stripped)))
+    except _BadLine as bad:  # the how-manieth nonblank line, so count the blank ones
+        lineno = first_lineno + [i for i, line in enumerate(stripped) if line][bad.index]
+        raise DataError(f"line {lineno}: {bad.reason}") from None
+    codes = np.empty((len(numeric), len(CODED_INDICES)), dtype=np.int64)
+    for k, i in enumerate(CODED_INDICES):
+        code_of = seen[k]
+        for value in dict.fromkeys(columns[i]):
+            code_of.setdefault(value, len(code_of))
+        codes[:, k] = np.fromiter(map(code_of.__getitem__, columns[i]),
+                                  dtype=np.int64, count=len(numeric))
+    return numeric, codes
+
+
+class _BadLine(Exception):
+    def __init__(self, index: int, reason: str):
+        self.index, self.reason = index, reason
+
+
+def _accepts(convert, text: str) -> bool:
+    """Whether ``convert`` (``float`` or ``int``) accepts ``text``."""
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _split_and_check(lines: list[str]) -> tuple[Array, list[list[str]]]:
+    """The numeric fields of nonblank ``lines`` as a [len(lines) x 38] matrix,
+    and the lines' fields as columns, after every check ``parse_records``
+    names; raises _BadLine for the first line that fails one."""
+    n = len(lines)
+    commas = np.fromiter(map(str.count, lines, itertools.repeat(",")),
+                         dtype=np.int64, count=n)
+    wrong = np.flatnonzero(commas != NUM_FIELDS - 1)
+    good = int(wrong[0]) if wrong.size else n  # lines before the first miscounted one
+    # every good line has NUM_FIELDS fields, so field i of line r sits at
+    # r * NUM_FIELDS + i of their joined split
+    fields = ",".join(lines[:good]).split(",") if good else []
+    columns = [fields[i::NUM_FIELDS] for i in range(NUM_FIELDS)]
+    numeric = np.empty((good, len(NUMERIC_INDICES)))
+    for k, i in enumerate(NUMERIC_INDICES):
+        try:
+            numeric[:, k] = np.fromiter(map(float, columns[i]), dtype=np.float64, count=good)
+        except ValueError:  # float() refuses a field: NaN marks it as bad below
+            numeric[:, k] = [float(text) if _accepts(float, text) else math.nan
+                             for text in columns[i]]
+    bad = ~np.isfinite(numeric).all(axis=1)  # float() accepts nan, inf and 1e999
+    try:
+        collections.deque(map(int, columns[-1]), maxlen=0)
+    except ValueError:
+        bad |= np.array([not _accepts(int, text) for text in columns[-1]], dtype=bool)
+    failed = np.flatnonzero(bad)
+    if failed.size:
+        row = int(failed[0])
+        for k, i in enumerate(NUMERIC_INDICES):
+            if not math.isfinite(numeric[row, k]):
+                text = columns[i][row]
+                kind = "finite" if _accepts(float, text) else "numeric"
+                raise _BadLine(row, f"field {FEATURE_NAMES[i]!r} is not {kind}: {text!r}")
+        raise _BadLine(row, f"difficulty is not an integer: {columns[-1][row]!r}")
+    if good < n:
+        raise _BadLine(good, f"expected {NUM_FIELDS} comma-separated fields, "
+                             f"got {int(commas[good]) + 1}")
+    return numeric, columns
+
+
+def read_records(path) -> RecordTable:
     try:
         with open(path, encoding="utf-8") as fh:
-            return list(parse_records(fh))
+            return parse_records(fh)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
@@ -253,56 +367,67 @@ class EncodedDataset:
         return self.features.shape[0]
 
 
-def fit_schema(train_records: Sequence[RawRecord],
-               extra_vocab_records: Sequence[RawRecord] = (),
+def fit_schema(train_records: RecordTable,
+               extra_vocab_records: RecordTable | None = None,
                pad_to: int | None = None) -> EncodingSchema:
     """Vocabularies from train plus extra records; min/max from train only."""
     if not train_records:
         raise DataError("cannot fit an encoding schema on an empty record set")
-    vocabularies: dict[str, set[str]] = {FEATURE_NAMES[i]: set()
-                                         for i in CATEGORICAL_INDICES}
-    for record in train_records:
-        for i in CATEGORICAL_INDICES:
-            vocabularies[FEATURE_NAMES[i]].add(record.features[i])
-    for record in extra_vocab_records:
-        for i in CATEGORICAL_INDICES:
-            vocabularies[FEATURE_NAMES[i]].add(record.features[i])
-    numeric_idx = [i for i in range(len(FEATURE_NAMES)) if i not in CATEGORICAL_INDICES]
-    values = np.array([[r.features[i] for i in numeric_idx] for r in train_records])
-    mins = values.min(axis=0)
-    maxs = values.max(axis=0)
+    tables = [train_records] + ([extra_vocab_records] if extra_vocab_records else [])
+    vocabularies = {FEATURE_NAMES[i]: tuple(sorted({value for table in tables
+                                                   for value in table.present(k)}))
+                    for k, i in enumerate(CATEGORICAL_INDICES)}
+    mins = train_records.numeric.min(axis=0)
+    maxs = train_records.numeric.max(axis=0)
     return EncodingSchema(
-        vocabularies={name: tuple(sorted(vals)) for name, vals in vocabularies.items()},
-        numeric_min={FEATURE_NAMES[i]: float(m) for i, m in zip(numeric_idx, mins)},
-        numeric_max={FEATURE_NAMES[i]: float(m) for i, m in zip(numeric_idx, maxs)},
+        vocabularies=vocabularies,
+        numeric_min={FEATURE_NAMES[i]: float(m) for i, m in zip(NUMERIC_INDICES, mins)},
+        numeric_max={FEATURE_NAMES[i]: float(m) for i, m in zip(NUMERIC_INDICES, maxs)},
         pad_to=pad_to,
     )
 
 
-def transform(records: Sequence[RawRecord], schema: EncodingSchema,
+def _lookup(records: RecordTable, column: int, table: dict[str, int]) -> Array:
+    """``table``'s entry for each record's value of coded ``column``, -1 where
+    the value has none."""
+    entries = np.array([table.get(value, -1) for value in records.values[column]],
+                       dtype=np.int64)
+    return entries[records.codes[:, column]]
+
+
+def attack_labels(records: RecordTable, taxonomy: ClassTaxonomy) -> Array:
+    """Each record's category index; LabelError names the first record's
+    attack name that the taxonomy lacks."""
+    labels = _lookup(records, ATTACK_COLUMN, taxonomy.mapping)
+    unknown = np.flatnonzero(labels < 0)
+    if unknown.size:
+        code = records.codes[unknown[0], ATTACK_COLUMN]
+        map_attack(records.values[ATTACK_COLUMN][code], taxonomy)  # raises
+    return labels
+
+
+def transform(records: RecordTable, schema: EncodingSchema,
               taxonomy: ClassTaxonomy) -> EncodedDataset:
     """Min-max scale numerics (clipped), one-hot categoricals, map labels."""
     n = len(records)
     features = np.zeros((n, schema.feature_dim))
-    labels = np.array([map_attack(r.attack_name, taxonomy) for r in records],
-                      dtype=np.int64)
+    labels = attack_labels(records, taxonomy)
     rows = np.arange(n)
     for i, (name, start, stop) in enumerate(schema.column_blocks()):
         if i in CATEGORICAL_INDICES:
-            offset_of = {v: k for k, v in enumerate(schema.vocabularies[name])}
-            try:
-                offsets = np.array([offset_of[r.features[i]] for r in records],
-                                   dtype=np.int64)
-            except KeyError as exc:
-                raise DataError(f"value {exc.args[0]!r} of {name!r} is absent "
-                                f"from the schema vocabulary") from None
-            if n:
-                features[rows, start + offsets] = 1.0
+            k = CATEGORICAL_INDICES.index(i)
+            offset_of = {v: j for j, v in enumerate(schema.vocabularies[name])}
+            offsets = _lookup(records, k, offset_of)
+            missing = np.flatnonzero(offsets < 0)
+            if missing.size:
+                value = records.values[k][records.codes[missing[0], k]]
+                raise DataError(f"value {value!r} of {name!r} is absent "
+                                f"from the schema vocabulary")
+            features[rows, start + offsets] = 1.0
         else:
             lo, hi = schema.numeric_min[name], schema.numeric_max[name]
-            col = np.fromiter((r.features[i] for r in records), dtype=np.float64,
-                              count=n)
             if hi > lo:
+                col = records.numeric[:, NUMERIC_INDICES.index(i)]
                 features[:, start] = np.clip((col - lo) / (hi - lo), 0.0, 1.0)
             # constant column maps to 0
     return EncodedDataset(features=features, labels=labels, schema=schema)
@@ -355,14 +480,33 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             meta = {"format_version": DATASET_FORMAT_VERSION,
                     "schema": dataset.schema.to_dict(), "manifest": manifest or {}}
             fh.write("# " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["label"] + [f"f{i}" for i in range(dataset.schema.feature_dim)])
-            for label, row in zip(dataset.labels, dataset.features):
-                # one row at a time: a whole-array tolist() would hold every
-                # value as a Python float at once
-                writer.writerow([int(label), *map(repr, row.tolist())])
+            # the rows as csv.writer's default dialect writes them: ',' between
+            # fields, '\r\n' after each row, and no quoting, which neither an
+            # int nor the repr of a float ever needs
+            fh.write(",".join(["label"] + [f"f{i}" for i in range(dataset.schema.feature_dim)])
+                     + "\r\n")
+            for start in range(0, len(dataset), CSV_BLOCK):
+                # a block at a time: formatting the whole array at once would
+                # hold every value as a Python string at once
+                stop = start + CSV_BLOCK
+                fh.write(_csv_rows(dataset.labels[start:stop], dataset.features[start:stop]))
     else:
         raise DataError(f"unknown dataset format {fmt!r}; use one of {DATASET_FORMATS}")
+
+
+def _csv_rows(labels: Array, features: Array) -> str:
+    """CSV lines of a block of rows, with each float written as its repr.
+
+    Each distinct 64-bit pattern is formatted once: patterns, not values,
+    so that -0.0 keeps its own text apart from 0.0.
+    """
+    patterns, inverse = np.unique(np.ascontiguousarray(features, dtype=np.float64)
+                                  .view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    cells = np.empty((features.shape[0], features.shape[1] + 1), dtype=object)
+    cells[:, 0] = [str(label) for label in labels.tolist()]
+    cells[:, 1:] = text[inverse.reshape(features.shape)]
+    return "".join(",".join(row) + "\r\n" for row in cells.tolist())
 
 
 def _header_schema(header, what: str) -> EncodingSchema:

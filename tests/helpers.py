@@ -65,10 +65,12 @@ def assert_backward_matches_finite_differences(model, x, labels, rel_tol: float 
 
 
 # fields a mutation may put in place of a comma-separated field: of a CSV
-# dataset or raw record file, or of a JSON file (where a "field" runs from
-# one comma to the next)
+# dataset or raw record file, of a taxonomy file, or of a JSON file (where a
+# "field" runs from one comma to the next)
 CSV_TOKENS = ["", "nan", "-inf", "1e999", "-0", "0x1", " 1", "1_0", "\u0663", "9" * 25,
               "-" + "9" * 25, '"', '""', "\x00", "5", "0.5,0.5", "1" * 200_000]
+TAXONOMY_TOKENS = CSV_TOKENS + ["normal", "Normal", "DoS", "U2R", "attack_name", "category",
+                               '"a,b"', '"Normal"']
 JSON_TOKENS = ["", "NaN", "-Infinity", "1e999", "null", "true", "[]", "{}", '"x"', "-1",
                "0", "0.5", "9" * 25, "9" * 5000, '"\\ud800"', "\x00", "[" * 100_000,
                '{"a": ' * 5000]

@@ -52,6 +52,16 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path), "--taxonomy", "/nope/tax.csv"])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("subsample", ["1.0", "0.5"])
+    def test_empty_test_split_is_subsampled_to_nothing(self, corpus_files, tmp_path,
+                                                       subsample):
+        train, _ = corpus_files
+        empty = tmp_path / "test.txt"
+        empty.write_text("\n")
+        rc = main(["preprocess", "--train", str(train), "--test", str(empty),
+                   "--out-dir", str(tmp_path / "out"), "--subsample", subsample])
+        assert rc == EXIT_OK
+
     def test_non_finite_raw_field_is_two(self, corpus_files, tmp_path, capsys):
         train, test = corpus_files
         lines = train.read_text().splitlines()
@@ -278,6 +288,20 @@ class TestExitCodes:
         rc = main([command, "--hidden", widths])
         assert rc == EXIT_USAGE
         assert "--hidden" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "train-gen"])
+    @pytest.mark.parametrize("widths, message", [
+        (["--latent-dim", str(10 ** 20)], "more than one array can hold"),
+        # 60 x 10**15 weights: 480 PB, past any process's address space
+        (["--hidden", f"60,{10 ** 15}"], "cannot allocate"),
+    ])
+    def test_unbuildable_generator_is_two(self, preprocessed, tmp_path, capsys, command,
+                                          widths, message):
+        out = tmp_path / "exp"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        args = ["--out-dir", str(out)] if command == "train-gen" else []
+        assert main([command] + args + widths) == EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK

@@ -419,6 +419,27 @@ def test_checkpoint_with_a_bad_layer_setting_is_checkpoint_error(setting):
         load_checkpoint(edited)
 
 
+@pytest.mark.parametrize("setting", [
+    {}, {"cbn_placement": "decoder_only"}, {"use_cbn": False},
+    {"hidden_widths": (4,), "latent_dim": 2, "feature_dim": 6},
+    {"hidden_widths": (8, 16, 3), "num_classes": 1, "cbn_placement": "decoder_only"}])
+def test_parameter_count_is_the_built_vector(setting):
+    config = ModelConfig(**{"feature_dim": 123, "num_classes": 5, **setting})
+    assert config.parameter_count == C2BNVAE(config).params.size
+
+
+def test_config_rejects_a_parameter_vector_past_numpy():
+    with pytest.raises(ShapeError, match="more than one array can hold"):
+        ModelConfig(feature_dim=123, num_classes=5, latent_dim=10 ** 20)
+
+
+def test_unallocatable_generator_is_data_error():
+    # 60 x 10**15 weights: 480 PB, past any process's address space
+    config = ModelConfig(feature_dim=123, num_classes=5, hidden_widths=(60, 10 ** 15))
+    with pytest.raises(DataError, match="cannot allocate"):
+        C2BNVAE(config)
+
+
 def test_logvar_head_output_is_clamped():
     model = C2BNVAE(blob_config())
     # blow up the logvar head bias so the clamp must engage

@@ -1,23 +1,30 @@
+import csv
+import io
 import json
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from c2bnvae import nslkdd
 from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError, LabelError
-from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMAT_VERSION, DATASET_MAGIC,
-                            NUM_CATEGORIES, EncodedDataset, EncodingSchema,
-                            class_counts, default_taxonomy, fit_schema,
-                            inverse_transform, load_dataset, load_schema,
-                            load_taxonomy, map_attack, parse_records,
-                            read_records, save_dataset, save_schema, synthetic_schema,
-                            transform)
+from c2bnvae.nslkdd import (CATEGORICAL_INDICES, CATEGORY_NAMES, CODED_INDICES,
+                            DATASET_FORMAT_VERSION, DATASET_MAGIC, FEATURE_NAMES,
+                            NUM_CATEGORIES, NUMERIC_INDICES, EncodedDataset,
+                            EncodingSchema, attack_labels, class_counts,
+                            default_taxonomy, fit_schema, inverse_transform,
+                            load_dataset, load_schema, load_taxonomy, map_attack,
+                            parse_records, read_records, save_dataset, save_schema,
+                            synthetic_schema, transform)
 
 import corpus
-from helpers import CSV_TOKENS, JSON_TOKENS, file_mutations
+import records_reference as reference
+from helpers import CSV_TOKENS, JSON_TOKENS, TAXONOMY_TOKENS, file_mutations
+from records_reference import assert_table_matches, table_column
 
 
 @pytest.fixture(scope="module")
@@ -42,25 +49,29 @@ def fitted(splits):
 class TestParse:
     def test_parses_corpus_line(self, corpus_files):
         first = corpus_files[0].read_text().splitlines()[0]
-        (record,) = parse_records(first)
-        assert len(record.features) == 41
-        assert isinstance(record.features[1], str)  # protocol_type stays text
-        assert isinstance(record.features[0], float)
+        table = parse_records(first)
+        assert len(table) == 1
+        assert table.numeric.shape == (1, len(NUMERIC_INDICES))
+        assert table.numeric.dtype == np.float64
+        assert table_column(table, 1) == [first.split(",")[1]]  # protocol_type stays text
 
     def test_empty_stream(self):
-        assert list(parse_records("")) == []
+        table = parse_records("")
+        assert len(table) == 0
+        assert table.numeric.shape == (0, len(NUMERIC_INDICES))
+        assert table.values == ((), (), (), ())
 
     def test_wrong_field_count_names_line(self):
         good = ",".join(["0"] * 43)
         bad = ",".join(["0"] * 42)
         with pytest.raises(DataError, match="line 2"):
-            list(parse_records(f"{good}\n{bad}\n"))
+            parse_records(f"{good}\n{bad}\n")
 
     def test_non_numeric_numeric_field(self):
         fields = ["0", "tcp", "http", "SF"] + ["0"] * 37 + ["normal", "5"]
         fields[0] = "oops"
         with pytest.raises(DataError, match="duration"):
-            list(parse_records(",".join(fields)))
+            parse_records(",".join(fields))
 
     @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_numeric_field_names_line(self, text):
@@ -68,24 +79,85 @@ class TestParse:
         bad = list(good)
         bad[4] = text  # src_bytes
         with pytest.raises(DataError, match="line 2: field 'src_bytes' is not finite"):
-            list(parse_records(",".join(good) + "\n" + ",".join(bad)))
+            parse_records(",".join(good) + "\n" + ",".join(bad))
 
     def test_huge_finite_fields_parse(self):
         fields = ["0", "tcp", "http", "SF"] + ["1e308"] * 37 + ["normal", "5"]
-        (record,) = parse_records(",".join(fields))
-        assert record.features[4] == 1e308
+        table = parse_records(",".join(fields))
+        assert table.numeric[0, NUMERIC_INDICES.index(4)] == 1e308
 
     def test_difficulty_must_be_integer(self):
         fields = ["0", "tcp", "http", "SF"] + ["0"] * 37 + ["normal", "x"]
         with pytest.raises(DataError, match="difficulty"):
-            list(parse_records(",".join(fields)))
+            parse_records(",".join(fields))
+
+    def test_corpus_matches_reference(self, corpus_files):
+        for path in corpus_files:
+            assert_table_matches(read_records(path), reference.read_records(path))
+
+    def test_values_in_order_of_first_appearance(self, corpus_files):
+        table = read_records(corpus_files[0])
+        for field in CODED_INDICES:
+            column = table_column(table, field)
+            assert table.values[CODED_INDICES.index(field)] == tuple(dict.fromkeys(column))
+
+    def test_rows_select_records(self, splits):
+        train, _ = splits
+        rows = np.array([5, 0, 17, 5])
+        picked = train[rows]
+        assert picked.values == train.values
+        assert np.array_equal(picked.numeric, train.numeric[rows])
+        assert table_column(picked, 2) == [table_column(train, 2)[r] for r in rows]
+        assert len(train[:20]) == 20
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: f[:-1], "line 5: expected 43"),
+        (lambda f: f[:4] + ["x"] + f[5:], "line 5: field 'src_bytes' is not numeric: 'x'"),
+        (lambda f: f[:6] + ["inf"] + f[7:-1] + ["x"], "line 5: field 'land' is not finite"),
+        (lambda f: f[:-1] + ["1.5"], "line 5: difficulty is not an integer: '1.5'"),
+    ])
+    def test_first_bad_line_across_blocks(self, corpus_files, monkeypatch, edit, message):
+        # blocks of 3 lines put the bad line in the second block, after a
+        # blank line, and a worse line after it in the same block
+        monkeypatch.setattr(nslkdd, "PARSE_BLOCK", 3)
+        lines = corpus_files[0].read_text().splitlines()[:8]
+        lines.insert(2, "   ")
+        lines[4] = ",".join(edit(lines[4].split(",")))
+        lines[5] = "0,tcp"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(DataError) as caught:
+            parse_records(text)
+        with pytest.raises(DataError) as expected:
+            list(reference.parse_records(text))
+        assert str(caught.value) == str(expected.value)
+        assert str(caught.value).startswith(message)
+
+    def test_blocks_join_into_one_table(self, corpus_files, monkeypatch):
+        text = corpus_files[0].read_text()
+        whole = parse_records(text)
+        monkeypatch.setattr(nslkdd, "PARSE_BLOCK", 7)
+        blocked = parse_records(text)
+        assert blocked.values == whole.values
+        assert np.array_equal(blocked.codes, whole.codes)
+        assert blocked.numeric.tobytes() == whole.numeric.tobytes()
 
 
 class TestTaxonomy:
     def test_default_covers_both_splits(self, splits):
         taxonomy = default_taxonomy()
-        for record in splits[0] + splits[1]:
-            map_attack(record.attack_name, taxonomy)
+        for table in splits:
+            labels = attack_labels(table, taxonomy)
+            assert labels.tolist() == [map_attack(name, taxonomy) for name in
+                                       table_column(table, len(FEATURE_NAMES))]
+
+    def test_first_unknown_attack_in_record_order(self, corpus_files):
+        lines = corpus_files[0].read_text().splitlines()[:6]
+        for i, name in ((2, "zeta_attack"), (4, "alpha_attack")):
+            fields = lines[i].split(",")
+            fields[-2] = name
+            lines[i] = ",".join(fields)
+        with pytest.raises(LabelError, match="zeta_attack"):
+            attack_labels(parse_records("\n".join(lines)), default_taxonomy())
 
     def test_known_assignments(self):
         taxonomy = default_taxonomy()
@@ -111,6 +183,16 @@ class TestTaxonomy:
         with pytest.raises(DataError, match="Weird"):
             load_taxonomy(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"attack_name,category\nnormal,Normal\n\xff\n",  # not UTF-8
+        b'attack_name,category\nnormal,Normal\n"' + b"x" * 131_073 + b'",DoS\n',
+    ])
+    def test_unreadable_file_names_it(self, tmp_path, raw):
+        path = tmp_path / "tax.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="tax.csv"):
+            load_taxonomy(path)
+
 
 class TestSchema:
     def test_protocol_vocabulary_size(self, fitted):
@@ -132,7 +214,17 @@ class TestSchema:
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            fit_schema([])
+            fit_schema(parse_records(""))
+
+    def test_matches_reference(self, corpus_files, splits):
+        records = [reference.read_records(path) for path in corpus_files]
+        rows = np.arange(0, len(splits[0]), 3)
+        assert (fit_schema(splits[0], extra_vocab_records=splits[1], pad_to=123)
+                == reference.fit_schema(records[0], records[1], pad_to=123))
+        # a selection of rows keeps the file's values, but only the values
+        # its records hold enter the vocabularies
+        assert (fit_schema(splits[0][rows])
+                == reference.fit_schema([records[0][r] for r in rows]))
 
     def test_pad_below_width_rejected(self, splits):
         with pytest.raises(DataError, match="pad_to"):
@@ -195,14 +287,32 @@ class TestTransform:
         assert np.all(encoded_test.features <= 1.0)
         assert np.all(encoded_test.features >= 0.0)
 
-    def test_unknown_categorical_value_rejected(self, splits):
+    def test_unknown_categorical_value_rejected(self, corpus_files, splits):
         train, _ = splits
         schema = fit_schema(train[:50])
-        victim = train[0]
-        hacked = type(victim)(features=(0.0, "weird_proto") + victim.features[2:],
-                              attack_name=victim.attack_name, difficulty=0)
-        with pytest.raises(DataError, match="weird_proto"):
-            transform([hacked], schema, default_taxonomy())
+        lines = corpus_files[0].read_text().splitlines()[:3]
+        for i, (field, value) in enumerate([(3, "WEIRD_FLAG"), (1, "weird_proto"),
+                                            (1, "other_proto")]):
+            fields = lines[i].split(",")
+            fields[field] = value
+            lines[i] = ",".join(fields)
+        hacked = parse_records("\n".join(lines))
+        # the first block in column order, then the first record in it
+        with pytest.raises(DataError, match="'weird_proto' of 'protocol_type'"):
+            transform(hacked, schema, default_taxonomy())
+
+    def test_matches_reference(self, corpus_files, splits):
+        train, test = splits
+        records = [reference.read_records(path) for path in corpus_files]
+        schema = fit_schema(train, extra_vocab_records=test, pad_to=123)
+        taxonomy = default_taxonomy()
+        rows = np.arange(len(test))[::-2]
+        for table, expected in ((train, records[0]), (test, records[1]),
+                                (test[rows], [records[1][r] for r in rows])):
+            encoded = transform(table, schema, taxonomy)
+            want = reference.transform(expected, schema, taxonomy)
+            assert encoded.features.tobytes() == want.features.tobytes()
+            assert encoded.labels.tobytes() == want.labels.tobytes()
 
     def test_padding_appends_zero_columns(self, splits):
         train, test = splits
@@ -219,12 +329,12 @@ class TestInverse:
         train, _ = splits
         for idx in (0, 7, 100):
             values = inverse_transform(encoded.features[idx], schema)
-            original = train[idx].features
-            for i, (a, b) in enumerate(zip(values, original)):
-                if isinstance(b, str):
-                    assert a == b
+            for i, value in enumerate(values):
+                if i in CATEGORICAL_INDICES:
+                    assert value == table_column(train, i)[idx]
                 else:
-                    assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+                    original = train.numeric[idx, NUMERIC_INDICES.index(i)]
+                    assert value == pytest.approx(original, rel=1e-9, abs=1e-9)
 
     def test_uniform_block_resolves_to_first_entry(self, fitted):
         schema, _, _ = fitted
@@ -277,6 +387,25 @@ class TestDatasetIO:
         loaded = load_dataset(path)
         assert np.array_equal(loaded.features, encoded.features)
         assert np.array_equal(loaded.labels, encoded.labels)
+
+    def test_csv_bytes_are_csv_writers(self, fitted, tmp_path, monkeypatch):
+        _, _, encoded = fitted
+        features = encoded.features[:7].copy()
+        features[0, :4] = [-0.0, 0.0, 1e-300, 0.1 + 0.2]
+        features[5, -1] = -0.0
+        dataset = EncodedDataset(features=features, labels=encoded.labels[:7],
+                                 schema=encoded.schema)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
+        for label, row in zip(dataset.labels, features):
+            writer.writerow([int(label), *map(repr, row.tolist())])
+        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 3)  # three blocks, the last short
+        path = tmp_path / "train.csv"
+        save_dataset(dataset, path, fmt="csv")
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert head.startswith(b"# {")
+        assert body == buf.getvalue().encode()
 
     def test_truncated_binary_rejected(self, fitted, tmp_path):
         _, _, encoded = fitted
@@ -470,7 +599,7 @@ class TestAtomicWrites:
     class FailsMidway:
         """Feature rows that raise once the writer has written part of the
         file: the binary writer after the header and labels, the CSV writer
-        after the header lines and the first row."""
+        after the header lines."""
 
         def __init__(self, rows):
             self.rows, self.shape = rows, rows.shape
@@ -478,8 +607,7 @@ class TestAtomicWrites:
         def __array__(self, *args, **kwargs):
             raise OSError("disk full")
 
-        def __iter__(self):
-            yield self.rows[0]
+        def __getitem__(self, rows):
             raise OSError("disk full")
 
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
@@ -545,9 +673,10 @@ class TestCsvFuzz:
 
 
 class TestRecordAndSchemaFuzz:
-    """Every mutation of a raw record file either parses or ends as a
-    DataError, and ``preprocess`` over any of them exits 0 or 2; every
-    mutation of a schema file loads or ends as a DataError."""
+    """Every mutation of a raw record file or a taxonomy file either loads or
+    ends as a DataError, and ``preprocess`` over any of them exits 0 or 2; a
+    record file parses as the reference parser parses it. Every mutation of
+    a schema file loads or ends as a DataError."""
 
     def test_raw_records_parse_or_are_data_error(self, corpus_files, tmp_path_factory):
         train, test = corpus_files
@@ -560,14 +689,62 @@ class TestRecordAndSchemaFuzz:
         config.write_text(json.dumps({"train_path": str(path), "test_path": str(small_test),
                                       "out_dir": str(root / "out")}))
 
+        first = raw.split(b"\n", 1)[0]
+
+        def first_line(edit) -> bytes:
+            fields = first.split(b",")
+            edit(fields)
+            return raw.replace(first, b",".join(fields), 1)
+
+        # the same table as the reference parser's records, or the same error;
+        # preprocess exits 2 on any error
         @settings(max_examples=300, deadline=None)
         @given(file_mutations(raw, CSV_TOKENS))
         @example(raw.replace(b",", b",\xff", 1))  # not UTF-8
         @example(raw.replace(b"\n", b"\r", 1))  # an old Mac line end
+        @example(first_line(lambda f: f.__setitem__(-1, str(2 ** 64).encode())))  # 65 bits
+        @example(first_line(lambda f: f.__setitem__(0, b"1_000")))
+        @example(raw.replace(b",", b"\x0b,", 1))  # a line break to str.splitlines()
+        @example(b"")
+        # a bad line decodes before the bytes that are not UTF-8: its error wins
+        @example(first_line(lambda f: f.__setitem__(0, b"=")) + b"\xe2")
         def check(mutated):
             path.write_bytes(mutated)
             try:
-                read_records(path)
+                expected = reference.read_records(path)
+            except DataError as exc:
+                with pytest.raises(DataError) as caught:
+                    read_records(path)
+                assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+                assert main(["preprocess", "--config", str(config)]) == EXIT_DATA
+            else:
+                assert_table_matches(read_records(path), expected)
+                assert main(["preprocess", "--config", str(config)]) in (0, EXIT_DATA)
+
+        check()
+
+    def test_taxonomy_loads_or_is_data_error(self, corpus_files, tmp_path_factory):
+        train, test = corpus_files
+        root = tmp_path_factory.mktemp("taxonomy_fuzz")
+        for source, name in ((train, "train.txt"), (test, "test.txt")):
+            (root / name).write_bytes(
+                b"".join(source.read_bytes().splitlines(keepends=True)[:6]))
+        path = root / "taxonomy.csv"
+        raw = (resources.files("c2bnvae.data") / "nslkdd_taxonomy.csv").read_bytes()
+        config = root / "config.json"
+        config.write_text(json.dumps({"train_path": str(root / "train.txt"),
+                                      "test_path": str(root / "test.txt"),
+                                      "taxonomy_path": str(path),
+                                      "out_dir": str(root / "out")}))
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, TAXONOMY_TOKENS))
+        @example(raw + b"\xff\n")  # not UTF-8
+        @example(raw + b'"' + b"x" * 131_073 + b'",DoS\n')  # past the csv field limit
+        def check(mutated):
+            path.write_bytes(mutated)
+            try:
+                load_taxonomy(path)
             except DataError:
                 assert main(["preprocess", "--config", str(config)]) == EXIT_DATA
             else:
