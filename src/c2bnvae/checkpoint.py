@@ -3,6 +3,10 @@
 The header records the model config, the schema fingerprint and the array
 names/shapes in block order, so a load is self-contained and a save of a
 loaded checkpoint is byte-identical.
+
+Format version 2 dropped the layer constants ``leaky_slope``, ``norm_eps``
+and ``norm_momentum`` from the header's config. A version-1 file is refused
+with a ``CheckpointError``, so ``experiment.train_generator`` retrains it.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ import numpy as np
 from . import container
 from .atomic import write_atomic
 from .errors import CheckpointError, DataError
-from .model import CHECKPOINT_FORMAT_VERSION, Checkpoint, ModelConfig
+from .model import Checkpoint, ModelConfig
 
 MAGIC = b"C2BN"
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def checkpoint_bytes(ckpt: Checkpoint, manifest: dict | None = None) -> bytes:
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
         "schema_fingerprint": ckpt.schema_fingerprint,
         "manifest": manifest or {},
@@ -31,7 +36,7 @@ def checkpoint_bytes(ckpt: Checkpoint, manifest: dict | None = None) -> bytes:
         "stats": [{"name": k, "shape": list(v.shape)} for k, v in ckpt.stats.items()],
     }
     out = io.BytesIO()
-    container.write(out, MAGIC, ckpt.format_version, header,
+    container.write(out, MAGIC, CHECKPOINT_FORMAT_VERSION, header,
                     (np.ascontiguousarray(v, dtype="<f8")
                      for arrays in (ckpt.params, ckpt.stats) for v in arrays.values()))
     return out.getvalue()

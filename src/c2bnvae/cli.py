@@ -18,6 +18,7 @@ from .experiment import (ExperimentConfig, count_report, load_encoded,
                          load_reports, manifest_line, manifest_for, preprocess,
                          run_all, train_generator)
 from .metrics import results_table
+from .model import CBN_PLACEMENTS
 from .nslkdd import CATEGORY_NAMES, DATASET_FORMATS
 
 EXIT_OK = 0
@@ -102,9 +103,7 @@ def cmd_preprocess(config_path, **overrides) -> None:
 @click.option("--hidden", "hidden_widths", default=None, callback=_parse_widths,
               help="Comma-separated hidden widths, e.g. 60,60,60,60.")
 @click.option("--kl-weight", type=float, default=None)
-@click.option("--cbn-placement", type=click.Choice(["decoder_only",
-                                                    "encoder_and_decoder"]),
-              default=None)
+@click.option("--cbn-placement", type=click.Choice(CBN_PLACEMENTS), default=None)
 @click.option("--no-cbn", is_flag=True,
               help="Train the plain-BN variant (the standard-CVAE baseline).")
 def cmd_train_gen(config_path, no_cbn, **overrides) -> None:

@@ -67,18 +67,6 @@ class TreeNode:
         return 1 + self.left.node_count() + self.right.node_count()
 
 
-def gini(counts: Array) -> float:
-    """1 - sum of squared class fractions."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if np.any(counts < 0):
-        raise DataError("class counts must be nonnegative")
-    total = counts.sum()
-    if total == 0:
-        raise DataError("gini is undefined for all-zero counts")
-    fractions = counts / total
-    return float(1.0 - np.sum(fractions**2))
-
-
 def best_split(features: Array, labels: Array,
                params: TreeParams | None = None) -> tuple[int, float, float] | None:
     """Exhaustive scan for the (feature, midpoint threshold, gain) maximizing
@@ -270,11 +258,14 @@ def _partition(order: Array, go_left: Array) -> int:
 
 
 def predict(tree: TreeNode, rows: Array) -> Array:
-    """Route every row root-to-leaf (value <= threshold goes left)."""
+    """Route every row root-to-leaf (value <= threshold goes left); ``tree``
+    is a root that ``fit`` returned, which records its training width."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"rows must be 2-D, got shape {rows.shape}")
-    _check_width(tree, rows.shape[1])
+    if rows.shape[1] != tree.n_features:
+        raise ShapeError(f"tree was fit on {tree.n_features}-wide rows, "
+                         f"got {rows.shape[1]}")
     out = np.empty(rows.shape[0], dtype=np.int64)
     stack: list[tuple[TreeNode, Array]] = [(tree, np.arange(rows.shape[0]))]
     while stack:
@@ -288,24 +279,6 @@ def predict(tree: TreeNode, rows: Array) -> Array:
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
     return out
-
-
-def _check_width(tree: TreeNode, width: int) -> None:
-    if tree.n_features is not None:
-        if width != tree.n_features:
-            raise ShapeError(f"tree was fit on {tree.n_features}-wide rows, "
-                             f"got {width}")
-        return
-    # hand-built trees carry no training width; validate references instead
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if node.feature >= width:
-            raise ShapeError(f"tree references feature {node.feature} but rows "
-                             f"have only {width} columns")
-        stack.extend((node.left, node.right))
 
 
 def export_text(tree: TreeNode) -> str:

@@ -356,7 +356,9 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
                          json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         except Exception as exc:
-            logger.warning("algorithm %s failed: %s", name, exc)
+            # the traceback only at -v, where the log level is INFO
+            logger.warning("algorithm %s failed: %s", name, exc,
+                           exc_info=logger.isEnabledFor(logging.INFO))
             rows.append((name, str(exc)))
     write_results(rows, config)
     return rows

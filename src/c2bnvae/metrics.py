@@ -74,12 +74,17 @@ def per_class_prf(cm: Array) -> tuple[Array, Array, Array, list[str]]:
 
 def weighted_prf(cm: Array) -> tuple[float, float, float]:
     """Percent (Pre_w, Recall_w, F1_w) weighted by true-class frequencies."""
+    return _weighted(cm, per_class_prf(cm)[:3])
+
+
+def _weighted(cm: Array, per_class: tuple[Array, Array, Array]) -> tuple[float, float, float]:
+    """Percent weighted means of ``per_class_prf(cm)``'s three value arrays."""
     cm = np.asarray(cm, dtype=np.float64)
     total = cm.sum()
     if total == 0:
         raise DataError("weighted metrics are undefined for an empty confusion matrix")
-    precision, recall, f1, _ = per_class_prf(cm)
     weights = cm.sum(axis=1) / total
+    precision, recall, f1 = per_class
     return (100.0 * float(weights @ precision),
             100.0 * float(weights @ recall),
             100.0 * float(weights @ f1))
@@ -111,7 +116,7 @@ class EvalReport:
     @classmethod
     def from_confusion(cls, algorithm: str, cm: Array) -> "EvalReport":
         precision, recall, f1, flags = per_class_prf(cm)
-        pre_w, recall_w, f1_w = weighted_prf(cm)
+        pre_w, recall_w, f1_w = _weighted(cm, (precision, recall, f1))
         return cls(algorithm=algorithm, acc=accuracy(cm), pre_w=pre_w,
                    recall_w=recall_w, f1_w=f1_w,
                    per_class_precision=[100.0 * p for p in precision],

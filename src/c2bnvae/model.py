@@ -17,7 +17,6 @@ matching min-max scaled features.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple
@@ -29,11 +28,16 @@ from .losses import (LOGVAR_MAX, LOGVAR_MIN, clip_logvar, kl_gaussian, kl_gaussi
                      mse_loss, mse_loss_grad)
 from .nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters, leaky_relu,
                  one_hot, sigmoid, sigmoid_grad)
+from .nslkdd import EncodedDataset
 from .optim import Adam
 
 Array = np.ndarray
 
-CHECKPOINT_FORMAT_VERSION = 1
+# the layers' fixed constants: the LeakyReLU slope of every hidden layer and
+# the normalization layers' variance epsilon and running-statistics momentum
+LEAKY_SLOPE = 0.01
+NORM_EPS = 1e-5
+NORM_MOMENTUM = 0.1
 
 CBN_PLACEMENTS = ("decoder_only", "encoder_and_decoder")
 
@@ -80,9 +84,6 @@ class ModelConfig:
     kl_weight: float = 1.0
     cbn_placement: str = "encoder_and_decoder"
     use_cbn: bool = True
-    leaky_slope: float = 0.01
-    norm_eps: float = 1e-5
-    norm_momentum: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -101,12 +102,6 @@ class ModelConfig:
         if self.cbn_placement not in CBN_PLACEMENTS:
             raise ShapeError(f"cbn_placement must be one of {CBN_PLACEMENTS}, "
                              f"got {self.cbn_placement!r}")
-        if not 0.0 <= self.leaky_slope < 1.0:  # also rejects NaN
-            raise ShapeError(f"leaky_slope must lie in [0, 1), got {self.leaky_slope}")
-        if not self.norm_eps > 0:
-            raise ShapeError(f"norm_eps must be positive, got {self.norm_eps}")
-        if not 0.0 < self.norm_momentum < 1.0:
-            raise ShapeError(f"norm_momentum must lie in (0, 1), got {self.norm_momentum}")
         if self.seed < 0:
             raise ShapeError(f"seed must be >= 0, got {self.seed}")
         # every parameter lives in one float64 vector, and numpy cannot even
@@ -158,7 +153,6 @@ class Checkpoint:
     params: dict[str, Array]
     stats: dict[str, Array]
     schema_fingerprint: str
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def __post_init__(self):
         if not self.schema_fingerprint:
@@ -207,7 +201,7 @@ class C2BNVAE:
         rng = _derive_rngs(config.seed)[0]
         widths = config.hidden_widths
         norm_layer = partial(CondBatchNorm1d, config.num_classes if config.use_cbn else 1,
-                             widths[-1], eps=config.norm_eps, momentum=config.norm_momentum)
+                             widths[-1], eps=NORM_EPS, momentum=NORM_MOMENTUM)
         dims = (config.encoder_input_dim,) + widths
         self.enc_linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
         self.enc_norm = (norm_layer()
@@ -264,7 +258,7 @@ class C2BNVAE:
     def _hidden(self, linears: list[Linear], h: Array) -> tuple[Array, list[Array]]:
         multipliers = []
         for lin in linears:
-            h, multiplier = leaky_relu(lin(h), self.config.leaky_slope)
+            h, multiplier = leaky_relu(lin(h), LEAKY_SLOPE)
             multipliers.append(multiplier)
         return h, multipliers
 
@@ -361,38 +355,24 @@ def reparameterize_t(mu: Array, logvar: Array,
     return mu + sigma * noise, sigma, noise
 
 
-def fallback_fingerprint(config: ModelConfig) -> str:
-    """Stable stand-in digest for datasets that carry no encoding schema."""
-    text = f"unschema:{config.feature_dim}:{config.num_classes}"
-    return hashlib.sha256(text.encode()).hexdigest()
+def train(dataset: EncodedDataset,
+          config: ModelConfig) -> tuple[Checkpoint, list[TraceRow]]:
+    """Train on an encoded dataset; returns the checkpoint, which carries the
+    dataset's schema fingerprint, and the per-epoch trace.
 
-
-def train(dataset, config: ModelConfig,
-          schema_fingerprint: str | None = None) -> tuple[Checkpoint, list[TraceRow]]:
-    """Train on an encoded dataset; returns the checkpoint and per-epoch trace.
-
-    ``dataset`` needs ``features`` ([n x feature_dim], entries in [0,1]) and
-    ``labels`` ([n], ints below num_classes); an attached ``schema`` supplies
-    the checkpoint fingerprint unless one is passed explicitly.
+    ``EncodedDataset`` has already made ``features`` a float64 matrix and
+    ``labels`` an int64 vector of as many rows; this checks that the width
+    is ``config.feature_dim``, that there are at least 2 rows and that every
+    label lies below ``config.num_classes``.
     """
-    features = np.asarray(dataset.features, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
+    features, labels = dataset.features, dataset.labels
     n = features.shape[0]
-    if n == 0:
-        raise DataError("cannot train on an empty dataset")
     if n < 2:
-        raise DataError("training needs at least 2 rows (batch statistics)")
-    if features.ndim != 2 or features.shape[1] != config.feature_dim:
+        raise DataError(f"training needs at least 2 rows (batch statistics), got {n}")
+    if features.shape[1] != config.feature_dim:
         raise ShapeError(f"dataset features are {features.shape}, "
                          f"expected [n x {config.feature_dim}]")
     labels = check_labels(labels, config.num_classes)
-    if labels.size != n:
-        raise DataError(f"dataset has {n} feature rows but {labels.size} labels")
-
-    if schema_fingerprint is None:
-        schema = getattr(dataset, "schema", None)
-        schema_fingerprint = (schema.fingerprint if schema is not None
-                              else fallback_fingerprint(config))
 
     model = C2BNVAE(config)
     _, shuffle_rng, noise_rng = _derive_rngs(config.seed)
@@ -422,7 +402,7 @@ def train(dataset, config: ModelConfig,
         if seen == 0:
             raise DataError("every batch was skipped; increase the dataset size")
         trace.append(TraceRow(epoch, *(sums / seen)))
-    return model.to_checkpoint(schema_fingerprint), trace
+    return model.to_checkpoint(dataset.schema.fingerprint), trace
 
 
 def generate(label: int, n: int, checkpoint: Checkpoint,

@@ -29,7 +29,7 @@ def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> Ar
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def leaky_relu(x: Array, slope: float = 0.01) -> tuple[Array, Array]:
+def leaky_relu(x: Array, slope: float) -> tuple[Array, Array]:
     """Elementwise max(x, slope*x) and the multiplier that gave it (1 or
     ``slope``; the subgradient at 0 is taken as 1).
 
@@ -137,10 +137,10 @@ class CondBatchNorm1d:
     evaluation mode. With ``num_classes=1`` and every label 0 this is plain
     batch normalization, one shared (gamma, beta) pair for all rows.
 
-    The layer trusts its caller: ``ModelConfig`` checks ``eps`` and
-    ``momentum``, and ``model.train`` and ``model.generate`` check the
-    labels (int64, in [0, num_classes)); ``train`` also skips the
-    singleton batches whose variance would be undefined.
+    The layer trusts its caller: ``model.C2BNVAE`` passes the constants
+    ``NORM_EPS`` and ``NORM_MOMENTUM``, ``model.train`` and
+    ``model.generate`` check the labels (int64, in [0, num_classes)), and
+    ``train`` skips the singleton batches whose variance would be undefined.
     """
 
     PARAMETERS = ("gamma", "beta")

@@ -89,6 +89,8 @@ def load_taxonomy(source) -> ClassTaxonomy:
             text = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"taxonomy file {where} is not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:  # a directory, no permission, a failed read
+            raise DataError(f"cannot read taxonomy file {where}: {exc.strerror or exc}") from None
     else:
         where = getattr(source, "name", "<stream>")
         text = source.read()
@@ -274,6 +276,8 @@ def read_records(path) -> RecordTable:
             return parse_records(fh)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # a directory, no permission, a failed read
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 @dataclass(frozen=True)

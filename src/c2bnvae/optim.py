@@ -1,7 +1,7 @@
 """Adam optimizer with bias correction, over one flat parameter vector.
 
-Defaults follow the common convention: beta1=0.9, beta2=0.999, eps=1e-8,
-with eps added outside the square root.
+The constants follow the common convention: beta1=0.9, beta2=0.999,
+eps=1e-8, with eps added outside the square root.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ class Adam:
     ``ModelConfig.lr``, which that config has checked to be positive.
     """
 
-    def __init__(self, params: Array, grads: Array, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Array, grads: Array, lr: float):
         self.params = params
         self.grads = grads
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.first_moment = np.zeros_like(params)
         self.second_moment = np.zeros_like(params)
         # two buffers the update reuses, so a step allocates no temporaries

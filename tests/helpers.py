@@ -1,7 +1,11 @@
-"""Shared test utilities: central finite differences, tolerance checks and
-the byte and line mutations the loader fuzz tests apply."""
+"""Shared test utilities: central finite differences, tolerance checks,
+the byte and line mutations the loader fuzz tests apply, and the version-1
+checkpoint layout."""
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -113,3 +117,16 @@ def file_mutations(raw: bytes, tokens: list[str]):
             lambda a: raw[:a[0]] + a[1] + raw[a[0]:]),
         st.tuples(st.sampled_from(["drop", "repeat", "swap", "field"]), index, index,
                   st.integers(0, 8), st.sampled_from(tokens)).map(edit_lines))
+
+
+def version_1_checkpoint(raw: bytes) -> bytes:
+    """The checkpoint file ``raw`` as checkpoint format version 1 wrote it.
+
+    Version 1 differs only in its version fields and in three more config
+    keys, the layer constants every version-1 run held."""
+    (head_len,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + head_len])
+    header["format_version"] = 1
+    header["config"].update(leaky_slope=0.01, norm_eps=1e-5, norm_momentum=0.1)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:4] + struct.pack("<IQ", 1, len(head)) + head + raw[16 + head_len:]

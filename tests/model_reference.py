@@ -13,7 +13,8 @@ import numpy as np
 
 from c2bnvae.autodiff import Tensor, as_tensor, concat
 from c2bnvae.losses import LOGVAR_MAX, LOGVAR_MIN
-from c2bnvae.model import C2BNVAE, Checkpoint, TraceRow, _derive_rngs
+from c2bnvae.model import (LEAKY_SLOPE, NORM_EPS, NORM_MOMENTUM, C2BNVAE, Checkpoint,
+                           TraceRow, _derive_rngs)
 
 
 def leaky_relu(t: Tensor, slope: float) -> Tensor:
@@ -52,7 +53,7 @@ class TapeModel:
     def _norm(self, name: str, t: Tensor, labels, training: bool) -> Tensor:
         if not self.config.use_cbn:
             labels = np.zeros(t.data.shape[0], dtype=np.int64)
-        momentum, eps = self.config.norm_momentum, self.config.norm_eps
+        momentum, eps = NORM_MOMENTUM, NORM_EPS
         mean_key, var_key = f"{name}.running_mean", f"{name}.running_var"
         if training:
             mu = t.mean(axis=0, keepdims=True)
@@ -77,7 +78,7 @@ class TapeModel:
     def encode(self, x, labels, training: bool):
         h = concat([as_tensor(x), self._one_hot(labels)], axis=1)
         for i in range(self.n_hidden):
-            h = leaky_relu(self._linear(f"enc.lin{i}", h), self.config.leaky_slope)
+            h = leaky_relu(self._linear(f"enc.lin{i}", h), LEAKY_SLOPE)
         if self.config.cbn_placement == "encoder_and_decoder":
             h = self._norm("enc.norm", h, labels, training)
         mu = self._linear("enc.mu", h)
@@ -87,7 +88,7 @@ class TapeModel:
     def decode(self, z, labels, training: bool) -> Tensor:
         h = concat([as_tensor(z), self._one_hot(labels)], axis=1)
         for i in range(self.n_hidden):
-            h = leaky_relu(self._linear(f"dec.lin{i}", h), self.config.leaky_slope)
+            h = leaky_relu(self._linear(f"dec.lin{i}", h), LEAKY_SLOPE)
         h = self._norm("dec.norm", h, labels, training)
         return self._linear("dec.out", h).sigmoid()
 

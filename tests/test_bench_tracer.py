@@ -19,20 +19,16 @@ import numpy as np
 sys.path.insert(0, "bench")
 import spans
 from c2bnvae import model
+from c2bnvae.nslkdd import EncodedDataset, synthetic_schema
 
 tracer = spans.Tracer()
 tracer.install()
 
-
-class Data:
-    features = np.random.default_rng(0).random((40, 6))
-    labels = np.arange(40) % 3
-    schema = None
-
-
+data = EncodedDataset(np.random.default_rng(0).random((40, 6)), np.arange(40) % 3,
+                      synthetic_schema(6))
 config = model.ModelConfig(feature_dim=6, num_classes=3, latent_dim=2,
                            hidden_widths=(5, 5), epochs=2, batch_size=16)
-model.train(Data(), config)
+model.train(data, config)
 calls = np.bincount(tracer.arrays()[1], minlength=len(tracer.names))
 print(json.dumps({"problems": tracer.check(),
                   "calls": {name: int(calls[i]) for i, name in enumerate(tracer.names)}}))

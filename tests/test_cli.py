@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c2bnvae.checkpoint import load_checkpoint
+from c2bnvae.checkpoint import CHECKPOINT_FORMAT_VERSION, load_checkpoint
 from c2bnvae.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_USAGE, main
 
 import corpus
+from helpers import version_1_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,23 @@ class TestExitCodes:
     def test_unknown_command_is_one(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_missing_file_is_two(self, tmp_path):
+    def test_missing_file_is_two(self, tmp_path, capsys):
         rc = main(["preprocess", "--train", "/nope/a.txt", "--test", "/nope/b.txt",
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_DATA
+        assert "input file not found: '/nope/a.txt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--train", "--test", "--taxonomy"])
+    def test_directory_as_input_is_two(self, corpus_files, tmp_path, flag, capsys):
+        # reading a directory raised a bare IsADirectoryError, exit 1
+        train, test = corpus_files
+        inputs = {"--train": str(train), "--test": str(test), flag: str(tmp_path)}
+        rc = main(["preprocess", *(a for pair in inputs.items() for a in pair),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        what = "taxonomy file " if flag == "--taxonomy" else ""
+        assert f"cannot read {what}{tmp_path}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_all_without_preprocess_is_two(self, tmp_path):
         assert main(["run-all", "--out-dir", str(tmp_path)]) == EXIT_DATA
@@ -450,6 +464,28 @@ class TestRunAllCommand:
         assert table == (clean / "results" / "results_table.txt").read_text()
         assert len(list((out / "results").glob("*.json"))) == 8 + 7  # reports, sidecars
 
+    def test_retrains_over_version_1_checkpoints(self, preprocessed, tmp_path, capsys):
+        clean, out = tmp_path / "clean", tmp_path / "exp"
+        for directory in (clean, out):
+            shutil.copytree(preprocessed / "encoded", directory / "encoded")
+        assert main(["run-all", "--out-dir", str(clean), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        (out / "models").mkdir()
+        trained = {}
+        for name in ("c2bnvae.ckpt", "cvae.ckpt"):
+            trained[name] = (clean / "models" / name).read_bytes()
+            # the same model, config and schema, so only the version refuses it
+            (out / "models" / name).write_bytes(version_1_checkpoint(trained[name]))
+        capsys.readouterr()
+        assert main(["run-all", "--out-dir", str(out), "--seed", "3"]
+                    + FAST_FLAGS) == EXIT_OK
+        assert "FAILED" not in capsys.readouterr().out
+        for name, raw in trained.items():
+            assert (out / "models" / name).read_bytes() == raw
+        for report in (clean / "results").iterdir():
+            assert (out / "results" / report.name).read_bytes() == report.read_bytes()
+        assert len(list((out / "results").glob("*.json"))) == 8 + 7  # reports, sidecars
+
     @pytest.mark.parametrize("header", [
         ["not", "an", "object"],
         {"schema_fingerprint": "x", "params": [], "stats": []},  # no config
@@ -462,7 +498,8 @@ class TestRunAllCommand:
         shutil.copytree(preprocessed / "encoded", out / "encoded")
         (out / "models").mkdir()
         head = json.dumps(header).encode()
-        bad = b"C2BN" + struct.pack("<I", 1) + struct.pack("<Q", len(head)) + head
+        bad = (b"C2BN" + struct.pack("<I", CHECKPOINT_FORMAT_VERSION)
+               + struct.pack("<Q", len(head)) + head)
         (out / "models" / "c2bnvae.ckpt").write_bytes(bad)
         rc = main(["run-all", "--out-dir", str(out), "--seed", "3"] + FAST_FLAGS)
         assert rc == EXIT_OK

@@ -19,9 +19,14 @@ from c2bnvae.model import Checkpoint, ModelConfig
 from c2bnvae.nslkdd import (EncodedDataset, load_dataset, save_dataset,
                             synthetic_schema)
 
-# sha256 of the two files below, as the format has written them since
-# version 1; a change here is a change of the on-disk format
-CHECKPOINT_SHA256 = "56279f56cb79a5f951c62617c894c4ee80b39f52a3af88671cae25e4ccb193de"
+from helpers import version_1_checkpoint
+
+# sha256 of the two files below: the checkpoint as format version 2 writes
+# it, the dataset as version 1 does; a change here is a change of the
+# on-disk format
+CHECKPOINT_SHA256 = "dd43a516bc3d3d83d657d4c9714395e3933820a3f0700c7ff5ea32be5bd334b0"
+# the checkpoint below as checkpoint format version 1 wrote it
+CHECKPOINT_V1_SHA256 = "56279f56cb79a5f951c62617c894c4ee80b39f52a3af88671cae25e4ccb193de"
 DATASET_SHA256 = "32409a7d753f267f075b82dec8e1e026331a274147cd3cf004579100f4199ce3"
 U64_MAX = 2 ** 64 - 1
 
@@ -72,6 +77,13 @@ class TestGoldenDigests:
 
     def test_dataset_layout(self, tmp_path):
         assert hashlib.sha256(tiny_dataset_bytes(tmp_path)).hexdigest() == DATASET_SHA256
+
+    def test_version_1_checkpoint_is_refused(self):
+        raw = version_1_checkpoint(tiny_checkpoint_bytes())
+        assert hashlib.sha256(raw).hexdigest() == CHECKPOINT_V1_SHA256
+        with pytest.raises(CheckpointError,
+                           match="unsupported format version 1, expected 2"):
+            load_checkpoint(raw)
 
     def test_fixtures_round_trip(self, tmp_path):
         raw = tiny_checkpoint_bytes()

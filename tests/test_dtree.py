@@ -1,31 +1,11 @@
 import numpy as np
 import pytest
 
-from c2bnvae.dtree import (TreeParams, best_split, export_text, fit, gini,
-                           predict)
+from c2bnvae.dtree import TreeParams, best_split, export_text, fit, predict
 from c2bnvae.errors import DataError, ShapeError
 
 XOR_FEATURES = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_LABELS = np.array([0, 1, 1, 0])
-
-
-class TestGini:
-    def test_pure_node(self):
-        assert gini(np.array([7, 0])) == 0.0
-
-    def test_even_split(self):
-        assert gini(np.array([1, 1])) == pytest.approx(0.5)
-
-    def test_three_one(self):
-        assert gini(np.array([3, 1])) == pytest.approx(0.375)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DataError):
-            gini(np.array([0, 0]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            gini(np.array([-1, 2]))
 
 
 class TestBestSplit:

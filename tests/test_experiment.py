@@ -1,4 +1,6 @@
 import json
+import logging
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
                                 preprocess, run_all, stage_seed,
                                 stratified_subsample, write_trace_csv)
 from c2bnvae.metrics import EvalReport
-from c2bnvae.model import TraceRow
+from c2bnvae.model import ModelConfig, TraceRow
 from c2bnvae.nslkdd import class_counts, load_dataset
 
 import corpus
@@ -228,6 +230,42 @@ class TestRunAll:
         rows = dict(run_all(config))
         assert isinstance(rows["SMOTE"], str)  # failure reason recorded
         assert isinstance(rows["Random oversampling"], EvalReport)
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_failed_row_traceback_is_logged_only_when_verbose(corpus_files, tmp_path,
+                                                          monkeypatch, caplog, verbose):
+    from c2bnvae import experiment
+
+    def fail(request, config):
+        raise ValueError("balancer broke")
+
+    monkeypatch.setattr(experiment, "ROWS", {"SMOTE": (fail, ())})
+    config = make_config(corpus_files, tmp_path)
+    preprocess(config)
+    caplog.set_level(logging.INFO if verbose else logging.WARNING,
+                     logger="c2bnvae.experiment")
+    assert run_all(config) == [("SMOTE", "balancer broke")]
+    [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert record.getMessage() == "algorithm SMOTE failed: balancer broke"
+    assert bool(record.exc_info) == verbose
+    if verbose:
+        assert "in fail" in caplog.text and "ValueError: balancer broke" in caplog.text
+
+
+def test_every_generator_setting_comes_from_the_experiment_config():
+    # a ModelConfig field that no ExperimentConfig field fills is a setting no
+    # run can change; the rest come from the data width, the class count, the
+    # row's variant and the stage seed
+    filled_elsewhere = {"feature_dim", "num_classes", "use_cbn", "seed"}
+    settings = dict(latent_dim=3, hidden_widths=(5, 7), lr=0.5, epochs=2, batch_size=9,
+                    kl_weight=0.25, cbn_placement="decoder_only")
+    assert set(settings) == {f.name for f in fields(ModelConfig)} - filled_elsewhere
+    defaults = ModelConfig(feature_dim=1, num_classes=1)
+    built = ExperimentConfig(**settings).model_config(feature_dim=7, use_cbn=False, seed=3)
+    for name, value in settings.items():
+        assert value != getattr(defaults, name), name
+        assert getattr(built, name) == value, name
 
 
 class RecordingConfig:

@@ -56,13 +56,6 @@ class TestLeakyRelu:
             np.testing.assert_allclose(got[0], [[out]])
             assert got[1].tolist() == [[multiplier]]
 
-    def test_slope_validated(self):
-        # the slope is ModelConfig.leaky_slope, checked once when the config
-        # is made, not on every call
-        for slope in (1.0, -0.1, float("nan")):
-            with pytest.raises(ShapeError, match="leaky_slope"):
-                ModelConfig(feature_dim=1, num_classes=1, leaky_slope=slope)
-
 
 class TestHeInit:
     def test_same_seed_identical(self):
