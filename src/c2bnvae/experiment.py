@@ -12,11 +12,15 @@ ever written.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
+import os
+import signal
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,10 +283,15 @@ def write_trace_csv(trace: list[TraceRow], path, manifest: dict) -> None:
     write_atomic(path, buf.getvalue())
 
 
+def generator_name(use_cbn: bool) -> str:
+    """The stem of a generator's checkpoint and trace files under ``models/``."""
+    return "c2bnvae" if use_cbn else "cvae"
+
+
 def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
                     use_cbn: bool) -> tuple[Checkpoint, list[TraceRow], Path]:
     """Train (or reuse) one generative model; writes checkpoint and trace."""
-    name = "c2bnvae" if use_cbn else "cvae"
+    name = generator_name(use_cbn)
     model_config = config.model_config(train_set.schema.feature_dim, use_cbn,
                                        seed=stage_seed(config.seed, f"train.{name}"))
     models = config.models_dir()
@@ -313,20 +322,110 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "_")
 
 
+# the generator row whose generator a forked helper process trains while the
+# rows before it run
+HELPER_ROW = "C2BNVAE"
+
+
+def _train_in_helper(config: ExperimentConfig, train_set: EncodedDataset,
+                     parent: int) -> None:
+    """The helper process: train (or reuse) the C2BNVAE generator.
+
+    Any failure ends it quietly with exit code 1, and the row retrains in
+    the parent, which reports the failure. SIGTERM raises here, so that an
+    artifact write it interrupts removes its temporary file. The kernel
+    sends that SIGTERM when the parent ends, however it ends (Linux
+    ``PR_SET_PDEATHSIG``), so a killed run leaves no helper training.
+    """
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent ended before the request
+            sys.exit(1)
+        train_generator(config, train_set, use_cbn=True)
+    except BaseException:
+        sys.exit(1)
+
+
+def _file_id(path: Path) -> tuple[int, int] | None:
+    """The device and inode of ``path``, or None where there is none to
+    read; an atomic write gives the path a new inode."""
+    try:
+        stat = path.stat()
+    except OSError:  # no such file, or models/ is not a directory
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+@contextlib.contextmanager
+def _generator_helper(config: ExperimentConfig, train_set: EncodedDataset):
+    """Train the ``HELPER_ROW`` generator in a forked process while the block runs.
+
+    Yields ``join``, which waits for the helper. A helper that failed or was
+    killed after it replaced the checkpoint leaves a checkpoint the row
+    must not reuse, so ``join`` removes it and the row retrains, ending
+    exactly as an inline run would. Leaving the block without ``join``
+    terminates the helper and reaps it. With one usable CPU, or without the
+    row, nothing is forked and ``join`` does nothing.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if HELPER_ROW not in ROWS or cpus < 2:
+        yield lambda: None
+        return
+    import multiprocessing  # here, so that importing the CLI does not pay for it
+
+    ckpt_path = config.models_dir() / f"{generator_name(use_cbn=True)}.ckpt"
+    before = _file_id(ckpt_path)
+    # fork, not spawn: the helper starts from the loaded training set and from
+    # any wrapper put on a module since import, and pickles nothing. OpenBLAS
+    # shuts its threads down around a fork, so the helper inherits none.
+    helper = multiprocessing.get_context("fork").Process(
+        target=_train_in_helper, args=(config, train_set, os.getpid()))
+    helper.start()
+
+    def join() -> None:
+        helper.join()
+        if helper.exitcode != 0 and _file_id(ckpt_path) != before:
+            ckpt_path.unlink(missing_ok=True)
+
+    try:
+        yield join
+    finally:
+        if helper.exitcode is None:
+            helper.terminate()
+            helper.join()
+
+
 def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     """Balance with every method, train the tree, evaluate, write artifacts.
 
     A failing row (its balancer, its generator's training or its tree)
     contributes the exception text instead of a report; the other rows
-    still run.
+    still run. The C2BNVAE generator trains in a forked helper while the
+    rows before it run (``_generator_helper``).
     """
     train_set, test_set = load_encoded(config)
+    with _generator_helper(config, train_set) as join_helper:
+        rows = _run_rows(config, train_set, test_set, join_helper)
+        write_results(rows, config)
+    return rows
+
+
+def _run_rows(config: ExperimentConfig, train_set: EncodedDataset,
+              test_set: EncodedDataset,
+              join_helper: Callable[[], None]) -> list[tuple[str, EvalReport | str]]:
     results_dir = config.results_dir()
     results_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[tuple[str, EvalReport | str]] = []
     params = config.tree_params()
     for name, entry in ROWS.items():
+        if name == HELPER_ROW:
+            join_helper()
         try:
             seed = stage_seed(config.seed, f"balance.{name}")
             balanced = train_set
@@ -360,7 +459,6 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             logger.warning("algorithm %s failed: %s", name, exc,
                            exc_info=logger.isEnabledFor(logging.INFO))
             rows.append((name, str(exc)))
-    write_results(rows, config)
     return rows
 
 

@@ -273,9 +273,13 @@ class C2BNVAE:
         bank 0 of plain batch normalization."""
         return labels if self.config.use_cbn else np.zeros_like(labels)
 
-    def encode(self, x: Array, labels: Array, training: bool = False) -> tuple[Array, Array]:
-        """Posterior mean and clipped log-variance of each row."""
-        h = np.concatenate([x, one_hot(labels, self.config.num_classes)], axis=1)
+    def encode(self, x: Array, labels: Array, training: bool = False,
+               hot: Array | None = None) -> tuple[Array, Array]:
+        """Posterior mean and clipped log-variance of each row; ``hot`` is
+        ``one_hot(labels)`` if the caller has already built it."""
+        if hot is None:
+            hot = one_hot(labels, self.config.num_classes)
+        h = np.concatenate([x, hot], axis=1)
         h, self._enc_multipliers = self._hidden(self.enc_linears, h)
         if self.enc_norm is not None:
             h = self.enc_norm(h, self._banks(labels), training)
@@ -284,9 +288,13 @@ class C2BNVAE:
         self._logvar_kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
         return mu, clip_logvar(raw)
 
-    def decode(self, z: Array, labels: Array, training: bool = False) -> Array:
-        """Reconstructed features in (0, 1) for latent codes ``z``."""
-        h = np.concatenate([z, one_hot(labels, self.config.num_classes)], axis=1)
+    def decode(self, z: Array, labels: Array, training: bool = False,
+               hot: Array | None = None) -> Array:
+        """Reconstructed features in (0, 1) for latent codes ``z``; ``hot`` as
+        in ``encode``."""
+        if hot is None:
+            hot = one_hot(labels, self.config.num_classes)
+        h = np.concatenate([z, hot], axis=1)
         h, self._dec_multipliers = self._hidden(self.dec_linears, h)
         h = self.dec_norm(h, self._banks(labels), training)
         return sigmoid(self.out_layer(h))
@@ -388,9 +396,10 @@ def train(dataset: EncodedDataset,
                 continue  # a singleton batch has undefined batch variance
             xb = features[idx]
             yb = labels[idx]
-            mu, logvar = model.encode(xb, yb, training=True)
+            hot = one_hot(yb, config.num_classes)
+            mu, logvar = model.encode(xb, yb, training=True, hot=hot)
             z, sigma, noise = reparameterize_t(mu, logvar, noise_rng)
-            x_hat = model.decode(z, yb, training=True)
+            x_hat = model.decode(z, yb, training=True, hot=hot)
             total, recon, regu = model.loss(xb, x_hat, mu, logvar)
             if not np.isfinite(total):
                 raise TrainingDiverged(

@@ -568,6 +568,19 @@ def _load_binary(data: bytes, path: Path) -> EncodedDataset:
 
 
 def _load_csv(fh, path: Path) -> EncodedDataset:
+    """Read a CSV dataset as ``csv.reader`` splits it, with the label of each
+    row converted by ``int`` and its features by ``float``.
+
+    Rows are read in blocks of ``CSV_BLOCK`` lines. A block with no quote,
+    NUL or overlong line splits at every comma, and ``np.loadtxt`` converts
+    it in one call, handing each ASCII field to the parser that ``float``
+    uses. A block that any of its fields fails there (a bad line, or text
+    only ``float`` reads, such as ``1_0``) is read again row by row
+    through ``csv.reader``, which converts or names the first bad line.
+    From the first line with a quote, NUL or overlong field on, every row
+    is read that way: a quoted field may span lines. Bytes that are not
+    UTF-8 raise where a row-by-row reader would meet them (``_blocks``).
+    """
     first = fh.readline()
     if not first.startswith("# "):
         raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
@@ -576,30 +589,94 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
     except (ValueError, RecursionError) as exc:  # not JSON, too deep
         raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
     schema = _header_schema(meta, f"{path}: CSV comment header")
-    reader = csv.reader(fh)
     width = schema.feature_dim + 1
-    labels_list, rows = [], []
+    labels: list[int] = []
+    blocks: list[Array] = []
+    header = fh.readline()
+    if not header:
+        raise DataError(f"{path}: CSV has no column header line")
     try:
-        if next(reader, None) is None:
-            raise DataError(f"{path}: CSV has no column header line")
-        for lineno, row in enumerate(reader, start=3):
+        if not _plain_csv([header]):
+            _read_csv_rows(itertools.chain([header], fh), 2, width, path, labels, blocks,
+                           header=True)
+        lineno = 3  # the file line of the next block, and its row number
+        blocks_of_lines = _blocks(fh, CSV_BLOCK)
+        for block in blocks_of_lines:
+            if not _plain_csv(block):
+                rest = itertools.chain.from_iterable(blocks_of_lines)
+                _read_csv_rows(itertools.chain(block, rest), lineno, width, path,
+                               labels, blocks)
+                break
+            try:
+                table = np.loadtxt(block, delimiter=",", comments=None, quotechar=None,
+                                   dtype=np.float64, ndmin=2)
+                block_labels = [int(line.partition(",")[0]) for line in block]
+            except ValueError:
+                table = None
+            if table is not None and table.shape == (len(block), width):
+                labels += block_labels
+                blocks.append(table[:, 1:])
+            else:
+                _read_csv_rows(block, lineno, width, path, labels, blocks)
+            lineno += len(block)
+        label_array = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: a label does not fit in 64 bits") from None
+    features = (np.concatenate(blocks) if blocks
+                else np.zeros((0, schema.feature_dim)))
+    return _checked(features, label_array, schema, path)
+
+
+def _blocks(fh, size: int):
+    """The lines of ``fh`` in lists of up to ``size``. A chunk that fails to
+    decode ends the list before it, and its error is raised when the next
+    list is asked for, so the lines before it are read first."""
+    block = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == size:
+                yield block
+                block = []
+    except UnicodeDecodeError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _plain_csv(lines: list[str]) -> bool:
+    """Whether ``csv.reader`` splits each of these lines at its commas alone."""
+    text = "".join(lines)
+    return ('"' not in text and "\0" not in text
+            and max(map(len, lines)) <= csv.field_size_limit())
+
+
+def _read_csv_rows(lines, first_line: int, width: int, path: Path, labels: list[int],
+                   blocks: list[Array], header: bool = False) -> None:
+    """Read ``lines``, which start at file line ``first_line`` with the
+    column header if ``header``, through ``csv.reader`` into ``labels`` and
+    one block of ``blocks``; raises DataError naming the first bad row."""
+    reader = csv.reader(lines)
+    rows = []
+    try:
+        if header:
+            next(reader)
+        for lineno, row in enumerate(reader, start=first_line + header):
             if len(row) != width:
                 raise DataError(f"{path} line {lineno}: expected {width} fields, "
                                 f"got {len(row)}")
             try:
-                labels_list.append(int(row[0]))
+                labels.append(int(row[0]))
                 rows.append(list(map(float, row[1:])))
             except ValueError:
                 raise DataError(f"{path} line {lineno}: the label or a feature is "
                                 f"not a number") from None
-        labels = np.array(labels_list, dtype=np.int64)
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-        raise DataError(f"{path} line {reader.line_num + 1}: {exc}") from None
-    except OverflowError:
-        raise DataError(f"{path}: a label does not fit in 64 bits") from None
-    features = (np.array(rows) if rows
-                else np.zeros((0, schema.feature_dim)))
-    return _checked(features, labels, schema, path)
+        raise DataError(f"{path} line {first_line - 1 + reader.line_num}: {exc}") from None
+    if rows:
+        blocks.append(np.array(rows))
 
 
 def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> None:

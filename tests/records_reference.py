@@ -5,12 +5,16 @@ encoder, kept only as a test oracle. ``parse_records`` checks each line in
 turn and yields a ``RawRecord``; ``fit_schema`` and ``transform`` walk those
 records field by field. ``c2bnvae.nslkdd`` parses and encodes whole columns
 and must give the same table, schema, encoding and errors
-(``assert_table_matches``).
+(``assert_table_matches``). ``load_csv_dataset`` reads an encoded CSV
+dataset one ``csv.reader`` row at a time; ``nslkdd.load_dataset`` converts
+blocks of rows and must give the same arrays and errors.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -20,7 +24,8 @@ import numpy as np
 from c2bnvae.errors import DataError
 from c2bnvae.nslkdd import (CATEGORICAL_INDICES, CODED_INDICES, FEATURE_NAMES,
                             NUM_FIELDS, NUMERIC_INDICES, ClassTaxonomy, EncodedDataset,
-                            EncodingSchema, RecordTable, map_attack)
+                            EncodingSchema, RecordTable, _checked, _header_schema,
+                            map_attack)
 
 
 @dataclass(frozen=True)
@@ -142,3 +147,47 @@ def assert_table_matches(table: RecordTable, records: Sequence[RawRecord]) -> No
     for i in CATEGORICAL_INDICES:
         assert table_column(table, i) == [r.features[i] for r in records]
     assert table_column(table, len(FEATURE_NAMES)) == [r.attack_name for r in records]
+
+
+def load_csv_dataset(path) -> EncodedDataset:
+    """An encoded CSV dataset, each row split by ``csv.reader`` and converted
+    with ``int`` and ``float`` in file order."""
+    try:
+        return _load_csv(path)
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is neither a binary dataset nor a text CSV") from None
+
+
+def _load_csv(path) -> EncodedDataset:
+    with open(path) as fh:
+        first = fh.readline()
+        if not first.startswith("# "):
+            raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
+        try:
+            meta = json.loads(first[2:])
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
+        schema = _header_schema(meta, f"{path}: CSV comment header")
+        reader = csv.reader(fh)
+        width = schema.feature_dim + 1
+        labels_list, rows = [], []
+        try:
+            if next(reader, None) is None:
+                raise DataError(f"{path}: CSV has no column header line")
+            for lineno, row in enumerate(reader, start=3):
+                if len(row) != width:
+                    raise DataError(f"{path} line {lineno}: expected {width} fields, "
+                                    f"got {len(row)}")
+                try:
+                    labels_list.append(int(row[0]))
+                    rows.append(list(map(float, row[1:])))
+                except ValueError:
+                    raise DataError(f"{path} line {lineno}: the label or a feature is "
+                                    f"not a number") from None
+            labels = np.array(labels_list, dtype=np.int64)
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num + 1}: {exc}") from None
+        except OverflowError:
+            raise DataError(f"{path}: a label does not fit in 64 bits") from None
+    features = np.array(rows) if rows else np.zeros((0, schema.feature_dim))
+    return _checked(features, labels, schema, path)

@@ -1,0 +1,330 @@
+"""``run_all`` trains the C2BNVAE generator in a forked helper process while
+the parent runs the rows before it. Every outcome must be an inline run's:
+the same bytes under ``encoded/``, ``models/`` and ``results/``, the same
+row texts and exit code when training fails, an inline retrain when the
+helper fails or is killed, and no process left behind.
+
+The in-process tests choose the mode by the CPU count ``run_all`` sees:
+one usable CPU runs inline, two fork the helper. A monkeypatch made before
+``run_all`` holds in the helper too, since it is forked.
+"""
+
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from c2bnvae import experiment, model, optim
+from c2bnvae.atomic import atomic_write
+from c2bnvae.cli import main
+from c2bnvae.experiment import ExperimentConfig, preprocess, run_all
+from c2bnvae.metrics import EvalReport
+
+import corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+FAST = dict(epochs=3, lr=1e-3, batch_size=64, latent_dim=8, hidden_widths=[16, 16],
+            smote_k=3, borderline_m=5, kmeans_clusters=3, max_depth=6)
+PARENT = os.getpid()
+
+
+def in_helper() -> bool:
+    return os.getpid() != PARENT
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    return corpus.write_corpus(tmp_path_factory.mktemp("corpus"))
+
+
+def make_config(corpus_files, out_dir) -> ExperimentConfig:
+    train, test = corpus_files
+    return ExperimentConfig(train_path=str(train), test_path=str(test),
+                            out_dir=str(out_dir), seed=5, **FAST)
+
+
+def artifacts(out_dir) -> dict[str, bytes]:
+    out_dir = Path(out_dir)
+    return {path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for sub in ("encoded", "models", "results")
+            for path in sorted((out_dir / sub).rglob("*")) if path.is_file()}
+
+
+def run(config: ExperimentConfig, cpus: int, monkeypatch):
+    """preprocess + run_all with ``cpus`` usable CPUs; returns the rows."""
+    preprocess(config)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return run_all(config)
+
+
+@pytest.fixture(scope="module")
+def inline(corpus_files, tmp_path_factory):
+    """A clean inline run: its rows and its artifacts."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        config = make_config(corpus_files, tmp_path_factory.mktemp("inline"))
+        rows = run(config, 1, monkeypatch)
+    return rows, artifacts(config.out_dir)
+
+
+def test_helper_run_writes_the_inline_bytes(corpus_files, tmp_path, monkeypatch, inline):
+    config = make_config(corpus_files, tmp_path)
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: (started.append(self), real_start(self))[1])
+    rows = run(config, 2, monkeypatch)
+    assert len(started) == 1  # the helper did run
+    assert rows == inline[0]
+    assert artifacts(tmp_path) == inline[1]
+    assert len([name for name in inline[1] if name.startswith("models/")]) == 4
+
+
+def test_training_that_raises_fails_the_row_as_inline(corpus_files, tmp_path, monkeypatch):
+    real_train = model.train
+
+    def train(dataset, config):
+        if config.use_cbn:
+            raise ValueError("generator broke")
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(model, "train", train)
+    outcomes = []
+    for cpus in (1, 2):
+        config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
+        path = tmp_path / f"config{cpus}.json"
+        path.write_text(json.dumps(config.to_dict()))
+        rows = run(config, cpus, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            code = main(["run-all", "--config", str(path)])
+        outcomes.append((rows, code, artifacts(config.out_dir)))
+    assert outcomes[0] == outcomes[1]
+    rows, code, _ = outcomes[1]
+    assert code == 0
+    assert dict(rows)["C2BNVAE"] == "generator broke"
+    assert all(isinstance(report, EvalReport) for name, report in rows if name != "C2BNVAE")
+
+
+def test_unusable_models_dir_fails_the_generator_rows_as_inline(corpus_files, tmp_path,
+                                                                monkeypatch):
+    outcomes = []
+    for cpus in (1, 2):
+        config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
+        Path(config.out_dir).mkdir()
+        config.models_dir().write_text("not a directory")
+        rows = dict(run(config, cpus, monkeypatch))
+        outcomes.append([rows[name].replace(config.out_dir, "OUT")
+                         for name in ("CVAE", "C2BNVAE")])
+    assert outcomes[0] == outcomes[1] == ["[Errno 17] File exists: 'OUT/models'"] * 2
+
+
+def test_failed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, capfd, inline):
+    real_train = model.train
+
+    def train(dataset, config):
+        if in_helper():
+            raise MemoryError
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(model, "train", train)
+    config = make_config(corpus_files, tmp_path)
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(tmp_path) == inline[1]
+    assert capfd.readouterr().err == ""  # the helper failed quietly
+
+
+def test_helper_failing_after_its_checkpoint_retrains_inline(corpus_files, tmp_path,
+                                                             monkeypatch, inline):
+    # the helper replaces the checkpoint and then fails: the row must not
+    # reuse that checkpoint, or it would pass where an inline run failed
+    real_write = experiment.write_trace_csv
+
+    def write_trace_csv(trace, path, manifest):
+        if in_helper():
+            raise OSError("disk full")
+        real_write(trace, path, manifest)
+
+    monkeypatch.setattr(experiment, "write_trace_csv", write_trace_csv)
+    config = make_config(corpus_files, tmp_path)
+    saved = []
+    real_save = experiment.save_checkpoint
+    monkeypatch.setattr(experiment, "save_checkpoint",
+                        lambda ckpt, path, manifest: (saved.append(path),
+                                                      real_save(ckpt, path, manifest)))
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(tmp_path) == inline[1]
+    assert [path.name for path in saved] == ["cvae.ckpt", "c2bnvae.ckpt"]  # retrained
+
+
+def test_killed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, inline):
+    real_step = optim.Adam.step
+    steps = []
+
+    def step(self):
+        steps.append(1)
+        if in_helper() and len(steps) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_step(self)
+
+    monkeypatch.setattr(optim.Adam, "step", step)
+    config = make_config(corpus_files, tmp_path)
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(tmp_path) == inline[1]
+
+
+def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
+    run(make_config(corpus_files, tmp_path / "ok"), 2, monkeypatch)
+    assert multiprocessing.active_children() == []
+
+    def fail(rows, config):  # after the helper was joined
+        raise OSError("results are not writable")
+
+    monkeypatch.setattr(experiment, "write_results", fail)
+    with pytest.raises(OSError):
+        run(make_config(corpus_files, tmp_path / "unwritable"), 2, monkeypatch)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monkeypatch,
+                                                    capfd):
+    models = tmp_path / "models"
+
+    def save_checkpoint(ckpt, path, manifest):  # the helper stalls mid-write
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"half a checkpoint")
+            fh.flush()
+            time.sleep(120)
+
+    def interrupt(request, **settings):  # once the helper is writing
+        deadline = time.monotonic() + 60
+        while not list(models.glob(".c2bnvae.ckpt.*")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment, "save_checkpoint", save_checkpoint)
+    monkeypatch.setattr(experiment.bal, "smote", interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(make_config(corpus_files, tmp_path), 2, monkeypatch)
+    assert time.monotonic() - started < 60  # terminated, not waited for
+    assert multiprocessing.active_children() == []
+    # the helper removed its temporary file, and said nothing
+    assert sorted(path.name for path in models.iterdir()) == []
+    assert capfd.readouterr().err == ""
+
+
+# run_all with two usable CPUs, whose helper writes its pid and stalls
+STALLED_HELPER = """
+import os
+import sys
+import time
+from pathlib import Path
+
+from c2bnvae import experiment
+
+parent = os.getpid()
+real_train_generator = experiment.train_generator
+
+
+def train_generator(config, train_set, use_cbn):
+    if os.getpid() != parent:
+        Path(sys.argv[2] + ".tmp").write_text(str(os.getpid()))
+        os.replace(sys.argv[2] + ".tmp", sys.argv[2])
+        time.sleep(120)
+    return real_train_generator(config, train_set, use_cbn)
+
+
+experiment.train_generator = train_generator
+os.sched_getaffinity = lambda pid: {0, 1}
+experiment.run_all(experiment.ExperimentConfig.from_json_file(sys.argv[1]))
+"""
+
+
+def running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has ended
+
+
+def test_helper_ends_with_a_killed_parent(corpus_files, tmp_path):
+    config = make_config(corpus_files, tmp_path / "out")
+    preprocess(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    pid_file = tmp_path / "helper.pid"
+    parent = subprocess.Popen([sys.executable, "-c", STALLED_HELPER, str(path), str(pid_file)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    try:
+        deadline = time.monotonic() + 120
+        while not pid_file.exists():
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        helper = int(pid_file.read_text())
+        assert running(helper)
+    finally:
+        parent.kill()  # SIGKILL: run_all's own cleanup never runs
+        parent.wait()
+    deadline = time.monotonic() + 30
+    while running(helper) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not running(helper)
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import c2bnvae.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+# preprocess + run-all through the CLI, on one CPU when asked; prints whether
+# multiprocessing was imported, which only the helper does
+PIPELINE = """
+import json
+import os
+import sys
+
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from c2bnvae.cli import main
+
+codes = [main(["preprocess", "--config", sys.argv[1]]),
+         main(["run-all", "--config", sys.argv[1]])]
+print(json.dumps({"codes": codes, "helper": "multiprocessing" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the helper is forked only with two usable CPUs")
+@pytest.mark.parametrize("seed, dataset_format", [(1, "csv"), (2, "binary")])
+def test_pinned_and_unpinned_runs_write_the_same_bytes(corpus_files, tmp_path, seed,
+                                                       dataset_format):
+    outputs = []
+    for mode in ("pinned", "unpinned"):
+        config = make_config(corpus_files, tmp_path / mode)
+        config.seed, config.dataset_format = seed, dataset_format
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(config.to_dict()))
+        done = subprocess.run([sys.executable, "-c", PIPELINE, str(path), mode],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report == {"codes": [0, 0], "helper": mode == "unpinned"}
+        outputs.append(artifacts(config.out_dir))
+    assert outputs[0].keys() == outputs[1].keys()
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], f"{name} differs"
+    assert {name.split("/")[0] for name in outputs[0]} == {"encoded", "models", "results"}

@@ -672,6 +672,82 @@ class TestCsvFuzz:
         check()
 
 
+class TestCsvBlocks:
+    """``load_dataset`` converts a CSV dataset in blocks of rows and gives the
+    arrays or the DataError that reading it one ``csv.reader`` row at a time
+    gives (``records_reference.load_csv_dataset``)."""
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            dataset = load(path)
+        except DataError as exc:
+            return str(exc)
+        return (dataset.labels.dtype, dataset.labels.tolist(), dataset.features.shape,
+                dataset.features.view(np.uint64).tolist(), dataset.schema)
+
+    def test_same_arrays_and_errors_as_row_by_row(self, tmp_path_factory, monkeypatch):
+        rng = np.random.default_rng(11)
+        features = rng.random((7, 3))
+        features[2, 1], features[4, 0] = -0.0, 1e-300
+        tiny = EncodedDataset(features=features, labels=np.array([0, 4, 1, 0, 2, 3, 1]),
+                              schema=synthetic_schema(3))
+        path = tmp_path_factory.mktemp("csv_blocks") / "train.csv"
+        save_dataset(tiny, path, fmt="csv", manifest={"seed": 7})
+        raw = path.read_bytes()
+        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 2)  # four blocks, the last short
+        lines = raw.split(b"\r\n")  # the comment and the column names end in \n, \r\n
+
+        def row(i: int, text: bytes, *more: tuple[int, bytes]) -> bytes:
+            edited = list(lines)
+            for j, line in ((i, text), *more):
+                edited[j] = line
+            return b"\r\n".join(edited)
+
+        @settings(max_examples=300, deadline=None)
+        @given(file_mutations(raw, CSV_TOKENS))
+        @example(raw)
+        @example(row(5, b'1,"0.5",0.25,0'))  # a quote, past the first block
+        @example(row(5, b'1,"0.5\n",0.25,0'))  # a quoted field over two lines
+        @example(row(6, b'1,"0.5\n",0.25,0'))  # ... and over two blocks
+        @example(row(4, b'1,"0.5\n",0.25,0', (7, b"0,x,0.5,0.5")))  # rows, not lines, count
+        @example(row(0, b'"label\nx",f0,f1,f2'))  # the column names over two lines
+        @example(row(4, "1_0,0.5_0,\u0663,0".encode()))  # only int and float read these
+        @example(row(4, "\u0663,0.5,0.5,0.5".encode()))  # a label in Arabic-Indic digits
+        @example(row(4, b""))  # an empty line
+        @example(row(6, b" 1 ,0.5 ,\t0.5,0.5"))
+        @example(row(6, b"0,0.5,0.5," + b"1" * 200_000))  # past the csv field limit
+        @example(row(3, b"0,0.5,0.5,0.5\x00"))
+        @example(row(6, b"9" * 25 + b",0.5,0.5,0.5"))  # a label past 64 bits
+        @example(row(7, b"0,nan,0.5,0.5"))
+        @example(row(7, b"0,0.5,0.5") + b"\r\n0,0.5,0.5,0.5,0.5")  # two bad lines
+        def check(mutated):
+            path.write_bytes(mutated)
+            assert (self.outcome(load_dataset, path)
+                    == self.outcome(reference.load_csv_dataset, path))
+
+        check()
+
+    @pytest.mark.parametrize("bad_row", [None, 5, 290])
+    def test_bytes_past_utf8_raise_where_row_by_row_meets_them(self, tmp_path, bad_row):
+        # 300 rows are past the 8 KiB a text file decodes at a time: a bad row
+        # in an earlier chunk than the bytes is met first, a bad row after it
+        # is never reached, and both fall inside one block of rows
+        dataset = EncodedDataset(features=np.random.default_rng(3).random((300, 3)),
+                                 labels=np.arange(300) % 5, schema=synthetic_schema(3))
+        path = tmp_path / "train.csv"
+        save_dataset(dataset, path, fmt="csv")
+        lines = path.read_bytes().split(b"\r\n")
+        if bad_row is not None:
+            lines[bad_row + 1] = b"0,x,0.5,0.5"
+        path.write_bytes(b"\r\n".join(lines[:200] + [b"\xe2"] + lines[200:]))
+        expected = self.outcome(reference.load_csv_dataset, path)
+        assert self.outcome(load_dataset, path) == expected
+        assert expected == (f"{path} line 8: the label or a feature is not a number"
+                            if bad_row == 5 else
+                            f"{path} is neither a binary dataset nor a text CSV")
+
+
 class TestRecordAndSchemaFuzz:
     """Every mutation of a raw record file or a taxonomy file either loads or
     ends as a DataError, and ``preprocess`` over any of them exits 0 or 2; a
