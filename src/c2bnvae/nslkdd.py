@@ -572,14 +572,14 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
     row converted by ``int`` and its features by ``float``.
 
     Rows are read in blocks of ``CSV_BLOCK`` lines. A block with no quote,
-    NUL or overlong line splits at every comma, and ``np.loadtxt`` converts
-    it in one call, handing each ASCII field to the parser that ``float``
-    uses. A block that any of its fields fails there (a bad line, or text
-    only ``float`` reads, such as ``1_0``) is read again row by row
+    NUL, blank or overlong line splits at every comma, and ``np.loadtxt``
+    converts it in one call, handing each ASCII field to the parser that
+    ``float`` uses. A block that any of its fields fails there (a bad line,
+    or text only ``float`` reads, such as ``1_0``) is read again row by row
     through ``csv.reader``, which converts or names the first bad line.
-    From the first line with a quote, NUL or overlong field on, every row
-    is read that way: a quoted field may span lines. Bytes that are not
-    UTF-8 raise where a row-by-row reader would meet them (``_blocks``).
+    From the first block with any of those four on, every row is read that
+    way: a quoted field may span lines. Bytes that are not UTF-8 raise
+    where a row-by-row reader would meet them (``_blocks``).
     """
     first = fh.readline()
     if not first.startswith("# "):
@@ -647,9 +647,10 @@ def _blocks(fh, size: int):
 
 
 def _plain_csv(lines: list[str]) -> bool:
-    """Whether ``csv.reader`` splits each of these lines at its commas alone."""
+    """Whether ``csv.reader`` splits each of these lines at its commas alone,
+    and none is blank (``np.loadtxt`` would skip it, and warn if all were)."""
     text = "".join(lines)
-    return ('"' not in text and "\0" not in text
+    return ('"' not in text and "\0" not in text and "\n" not in lines
             and max(map(len, lines)) <= csv.field_size_limit())
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import struct
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -715,6 +716,7 @@ class TestCsvBlocks:
         @example(row(4, "1_0,0.5_0,\u0663,0".encode()))  # only int and float read these
         @example(row(4, "\u0663,0.5,0.5,0.5".encode()))  # a label in Arabic-Indic digits
         @example(row(4, b""))  # an empty line
+        @example(row(3, b"", (4, b"")))  # a block of empty lines
         @example(row(6, b" 1 ,0.5 ,\t0.5,0.5"))
         @example(row(6, b"0,0.5,0.5," + b"1" * 200_000))  # past the csv field limit
         @example(row(3, b"0,0.5,0.5,0.5\x00"))
@@ -723,8 +725,10 @@ class TestCsvBlocks:
         @example(row(7, b"0,0.5,0.5") + b"\r\n0,0.5,0.5,0.5,0.5")  # two bad lines
         def check(mutated):
             path.write_bytes(mutated)
-            assert (self.outcome(load_dataset, path)
-                    == self.outcome(reference.load_csv_dataset, path))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a malformed file raises, and says nothing else
+                assert (self.outcome(load_dataset, path)
+                        == self.outcome(reference.load_csv_dataset, path))
 
         check()
 
