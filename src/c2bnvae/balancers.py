@@ -13,6 +13,7 @@ geometry.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import model as model_mod
 from .errors import ConvergenceError, DataError, LabelError, ShapeError
-from .nslkdd import EncodedDataset
+from .nslkdd import EncodedDataset, class_counts
 
 Array = np.ndarray
 
@@ -60,18 +61,19 @@ def _balance(request: BalanceRequest, fill) -> EncodedDataset:
     """Fill every class up to the majority count.
 
     ``fill(label, rows, deficit, rng)`` returns the ``deficit`` new rows of
-    class ``label`` from the class's own ``rows`` (empty for a class that is
-    absent below the top label) and the class rng. Classes with no deficit
-    are skipped, and the new rows follow the originals in class order.
+    class ``label`` from the class's own ``rows`` and the class rng. Classes
+    with no deficit are skipped, and so is a class with no rows, wherever
+    its label sits: no method has anything to draw its rows from. The new
+    rows follow the originals in class order.
     """
     dataset = request.dataset
     if dataset.labels.size == 0:
         raise DataError("cannot balance an empty dataset")
-    counts = np.bincount(dataset.labels)
+    counts = class_counts(dataset)
     features, labels = [dataset.features], [dataset.labels]
     for label, count in enumerate(counts):
         deficit = int(counts.max() - count)
-        if deficit == 0:
+        if deficit == 0 or count == 0:
             continue
         rows = dataset.features[dataset.labels == label]
         synthetic = fill(label, rows, deficit, _class_rng(request.seed, label))
@@ -245,8 +247,6 @@ def _linear_svm(features: Array, signs: Array, penalty: float) -> Array:
 def random_oversample(request: BalanceRequest) -> EncodedDataset:
     """Duplicate existing rows of each deficient class uniformly with replacement."""
     def fill(label, rows, deficit, rng):
-        if len(rows) == 0:
-            raise DataError(f"class {label} has a deficit but no samples to copy")
         return rows[rng.integers(0, len(rows), size=deficit)]
 
     return _balance(request, fill)
@@ -417,9 +417,16 @@ def generative_balance(request: BalanceRequest,
                         f"dataset {dataset.schema.fingerprint[:12]}...)")
     if dataset.labels.size and dataset.labels.max() >= checkpoint.config.num_classes:
         raise LabelError("dataset holds labels outside the checkpoint's classes")
-    balanced = _balance(request, lambda label, rows, deficit, rng:
-                        model_mod.generate(label, deficit, checkpoint, rng))
     real = dataset.features
-    constant = real.max(axis=0) == real.min(axis=0)
-    balanced.features[len(real):, constant] = real[0, constant]
-    return balanced
+
+    @functools.cache  # at the first fill: _balance refuses an empty set before that
+    def constant_columns() -> Array:
+        return real.max(axis=0) == real.min(axis=0)
+
+    def fill(label, rows, deficit, rng):
+        generated = model_mod.generate(label, deficit, checkpoint, rng)
+        constant = constant_columns()
+        generated[:, constant] = real[0, constant]
+        return generated
+
+    return _balance(request, fill)

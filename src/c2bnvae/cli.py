@@ -75,7 +75,7 @@ def cli(verbose: bool) -> None:
 @click.option("--fmt", "dataset_format", type=click.Choice(DATASET_FORMATS),
               default=None, help="Encoded dataset file format.")
 def cmd_preprocess(config_path, **overrides) -> None:
-    """Parse NSL-KDD files, encode both splits and write schema + counts."""
+    """Parse NSL-KDD files, encode both splits and write them with the counts."""
     if overrides.get("pad_to") == 0:
         overrides["pad_to"] = None
         explicit_no_pad = True

@@ -41,7 +41,7 @@ from .model import Checkpoint, ModelConfig, TraceRow
 from .nslkdd import (CATEGORY_NAMES, DATASET_FORMATS, NUM_CATEGORIES, EncodedDataset,
                      attack_labels, class_counts, default_taxonomy, fit_schema,
                      load_dataset, load_taxonomy, read_records, save_dataset,
-                     save_schema, transform)
+                     transform)
 
 logger = logging.getLogger(__name__)
 
@@ -249,15 +249,13 @@ def preprocess(config: ExperimentConfig) -> dict:
     train_file, test_file = config.encoded_paths()
     save_dataset(encoded_train, train_file, fmt=config.dataset_format, manifest=manifest)
     save_dataset(encoded_test, test_file, fmt=config.dataset_format, manifest=manifest)
-    save_schema(schema, out / "schema.json", manifest=manifest)
 
     counts = class_counts(encoded_train)
     lines = [manifest_line(manifest)]
     lines += [f"{name} {count}" for name, count in zip(CATEGORY_NAMES, counts)]
     lines.append(f"Total {counts.sum()}")
     write_atomic(out / "counts.txt", "\n".join(lines) + "\n")
-    return {"train": train_file, "test": test_file,
-            "schema": out / "schema.json", "counts": counts,
+    return {"train": train_file, "test": test_file, "counts": counts,
             "feature_dim": schema.feature_dim}
 
 

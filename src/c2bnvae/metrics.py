@@ -72,11 +72,6 @@ def per_class_prf(cm: Array) -> tuple[Array, Array, Array, list[str]]:
     return precision, recall, f1, flags
 
 
-def weighted_prf(cm: Array) -> tuple[float, float, float]:
-    """Percent (Pre_w, Recall_w, F1_w) weighted by true-class frequencies."""
-    return _weighted(cm, per_class_prf(cm)[:3])
-
-
 def _weighted(cm: Array, per_class: tuple[Array, Array, Array]) -> tuple[float, float, float]:
     """Percent weighted means of ``per_class_prf(cm)``'s three value arrays."""
     cm = np.asarray(cm, dtype=np.float64)

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DataError, LabelError, ShapeError, TrainingDiverged
 from .losses import (LOGVAR_MAX, LOGVAR_MIN, clip_logvar, kl_gaussian, kl_gaussian_grad,
                      mse_loss, mse_loss_grad)
-from .nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters, leaky_relu,
-                 one_hot, sigmoid, sigmoid_grad)
+from .nn import (CondBatchNorm1d, Linear, flatten_parameters, leaky_relu, one_hot,
+                 sigmoid, sigmoid_grad)
 from .nslkdd import EncodedDataset
 from .optim import Adam
 
@@ -181,8 +181,9 @@ class C2BNVAE:
     of ``grads``, so one ``Adam`` update over the two vectors trains every
     layer.
 
-    Data is checked where it enters: ``train`` checks the feature width, the
-    row count and the labels (``nn.check_labels``), ``generate`` the row
+    Data is checked where it enters: ``EncodedDataset`` checks the arrays'
+    shapes and the label range, ``train`` the feature width, the row count
+    and the labels against the configured classes, ``generate`` the row
     count and the label, ``from_checkpoint`` the arrays' names and shapes,
     and ``ModelConfig`` every setting. The methods below trust their
     arguments: float64 arrays of the configured widths, int64 labels in
@@ -369,9 +370,10 @@ def train(dataset: EncodedDataset,
     dataset's schema fingerprint, and the per-epoch trace.
 
     ``EncodedDataset`` has already made ``features`` a float64 matrix and
-    ``labels`` an int64 vector of as many rows; this checks that the width
-    is ``config.feature_dim``, that there are at least 2 rows and that every
-    label lies below ``config.num_classes``.
+    ``labels`` an int64 vector of as many rows, with no label below 0; this
+    checks that the width is ``config.feature_dim``, that there are at least
+    2 rows and that every label lies below ``config.num_classes``, which can
+    be fewer than the dataset's categories.
     """
     features, labels = dataset.features, dataset.labels
     n = features.shape[0]
@@ -380,7 +382,9 @@ def train(dataset: EncodedDataset,
     if features.shape[1] != config.feature_dim:
         raise ShapeError(f"dataset features are {features.shape}, "
                          f"expected [n x {config.feature_dim}]")
-    labels = check_labels(labels, config.num_classes)
+    if labels.max() >= config.num_classes:
+        raise LabelError(f"label {int(labels.max())} out of range for "
+                         f"{config.num_classes} classes")
 
     model = C2BNVAE(config)
     _, shuffle_rng, noise_rng = _derive_rngs(config.seed)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LabelError, ShapeError
-
 Array = np.ndarray
 
 
@@ -52,24 +50,9 @@ def sigmoid_grad(g: Array, y: Array) -> Array:
     return g * y * (1.0 - y)
 
 
-def check_labels(labels, num_classes: int) -> Array:
-    """Labels as a 1-D int64 array; raises LabelError outside [0, num_classes).
-
-    The layers and ``one_hot`` index with labels unchecked, so every entry
-    point that takes labels from outside checks them once: ``model.train``
-    calls this, and ``model.generate`` range-checks its one label.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        bad = labels[(labels < 0) | (labels >= num_classes)][0]
-        raise LabelError(f"label {bad} out of range for {num_classes} classes")
-    return labels
-
-
 def one_hot(labels: Array, num_classes: int) -> Array:
-    """Label indices -> one-hot rows; labels come from ``check_labels``."""
+    """Label indices -> one-hot rows; the labels were checked where they
+    entered (``EncodedDataset``, ``model.train``, ``model.generate``)."""
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out

@@ -1,4 +1,4 @@
-"""NSL-KDD ingestion: parsing, attack taxonomy, encoding and its inverse.
+"""NSL-KDD ingestion: parsing, attack taxonomy and encoding.
 
 Records are the 43-field CSV lines of KDDTrain+/KDDTest+: 41 features
 (protocol_type, service and flag categorical, the rest numeric), the attack
@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import container
-from .atomic import atomic_write, write_atomic
+from .atomic import atomic_write
 from .errors import DataError, LabelError
 
 Array = np.ndarray
@@ -304,18 +304,12 @@ class EncodingSchema:
     def feature_dim(self) -> int:
         return self.pad_to if self.pad_to is not None else self.base_dim
 
-    @property
-    def constant_numerics(self) -> tuple[str, ...]:
-        return tuple(n for n in self.numeric_min
-                     if self.numeric_min[n] == self.numeric_max[n])
-
     def column_blocks(self) -> list[tuple[str, int, int]]:
         """(feature name, start, stop) per original feature, in column order."""
         if any(name not in self.numeric_min
                for i, name in enumerate(FEATURE_NAMES)
                if i not in CATEGORICAL_INDICES):
-            raise DataError("schema does not carry the NSL-KDD column layout "
-                            "(synthetic schemas cannot be inverse-transformed)")
+            raise DataError("schema does not carry the NSL-KDD column layout")
         blocks = []
         offset = 0
         for i, name in enumerate(FEATURE_NAMES):
@@ -351,24 +345,48 @@ class EncodingSchema:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedDataset:
+    """An encoded split, checked once and then unchangeable.
+
+    The constructor owns every check on the two arrays' structure: a 2-D
+    float64 feature matrix as wide as the schema, a 1-D int64 label vector
+    with as many rows, and labels in [0, NUM_CATEGORIES). It keeps read-only
+    views of the arrays, so a write through the dataset raises. The
+    caller's own arrays stay writeable, and a write through them would
+    reach the dataset: no code in the package writes into an array it has
+    built a dataset from. Feature values (finite, in [0, 1]) are the
+    loader's to check: only files bring unchecked floats.
+    """
     features: Array  # [n x feature_dim], entries in [0, 1]
     labels: Array  # [n] category indices
     schema: EncodingSchema
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
-            raise DataError(f"features {self.features.shape} and labels "
-                            f"{self.labels.shape} are inconsistent")
-        if self.features.shape[1] != self.schema.feature_dim:
-            raise DataError(f"features are {self.features.shape[1]}-wide but the "
+        features = _read_only(np.asarray(self.features, dtype=np.float64))
+        labels = _read_only(np.asarray(self.labels, dtype=np.int64))
+        if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
+            raise DataError(f"features {features.shape} and labels "
+                            f"{labels.shape} are inconsistent")
+        if features.shape[1] != self.schema.feature_dim:
+            raise DataError(f"features are {features.shape[1]}-wide but the "
                             f"schema defines {self.schema.feature_dim} columns")
+        if labels.size and labels.min() < 0:
+            raise DataError(f"labels must be nonnegative, got {int(labels.min())}")
+        if labels.size and labels.max() >= NUM_CATEGORIES:
+            raise DataError(f"labels must be below {NUM_CATEGORIES}, "
+                            f"got {int(labels.max())}")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+
+def _read_only(array: Array) -> Array:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def fit_schema(train_records: RecordTable,
@@ -437,28 +455,9 @@ def transform(records: RecordTable, schema: EncodingSchema,
     return EncodedDataset(features=features, labels=labels, schema=schema)
 
 
-def inverse_transform(row: Array, schema: EncodingSchema) -> tuple:
-    """Encoded row -> the 41 feature values (no label/difficulty).
-
-    One-hot blocks resolve by argmax with ties going to the lowest column
-    index; numerics rescale to their original ranges.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (schema.feature_dim,):
-        raise DataError(f"row has shape {row.shape}, expected ({schema.feature_dim},)")
-    values = []
-    for i, (name, start, stop) in enumerate(schema.column_blocks()):
-        if i in CATEGORICAL_INDICES:
-            vocab = schema.vocabularies[name]
-            values.append(vocab[int(np.argmax(row[start:stop]))])
-        else:
-            lo, hi = schema.numeric_min[name], schema.numeric_max[name]
-            values.append(lo + row[start] * (hi - lo))
-    return tuple(values)
-
-
-def class_counts(dataset: EncodedDataset, num_classes: int = NUM_CATEGORIES) -> Array:
-    return np.bincount(dataset.labels, minlength=num_classes)
+def class_counts(dataset: EncodedDataset) -> Array:
+    """Rows per category, ``NUM_CATEGORIES`` entries long."""
+    return np.bincount(dataset.labels, minlength=NUM_CATEGORIES)
 
 
 # ----------------------------------------------------------------------
@@ -521,17 +520,18 @@ def _header_schema(header, what: str) -> EncodingSchema:
 
 def _checked(features: Array, labels: Array, schema: EncodingSchema,
              path: Path) -> EncodedDataset:
-    if labels.size and labels.min() < 0:
-        raise DataError(f"{path}: labels must be nonnegative, got {int(labels.min())}")
-    if labels.size and labels.max() >= NUM_CATEGORIES:
-        raise DataError(f"{path}: labels must be below {NUM_CATEGORIES}, "
-                        f"got {int(labels.max())}")
+    """The dataset of a file's arrays: the constructor's checks, then the
+    feature values', each error naming ``path``."""
+    try:
+        dataset = EncodedDataset(features=features, labels=labels, schema=schema)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(features)):
         raise DataError(f"{path}: features must be finite (no NaN or infinity)")
     if features.size and (features.min() < 0.0 or features.max() > 1.0):
         raise DataError(f"{path}: features must lie in [0, 1], got values in "
                         f"[{features.min()!r}, {features.max()!r}]")
-    return EncodedDataset(features=features, labels=labels, schema=schema)
+    return dataset
 
 
 def load_dataset(path) -> EncodedDataset:
@@ -678,27 +678,6 @@ def _read_csv_rows(lines, first_line: int, width: int, path: Path, labels: list[
         raise DataError(f"{path} line {first_line - 1 + reader.line_num}: {exc}") from None
     if rows:
         blocks.append(np.array(rows))
-
-
-def save_schema(schema: EncodingSchema, path, manifest: dict | None = None) -> None:
-    payload = {"format_version": DATASET_FORMAT_VERSION,
-               "fingerprint": schema.fingerprint, "manifest": manifest or {},
-               **schema.to_dict()}
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def load_schema(path) -> EncodingSchema:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
-        raise DataError(f"malformed schema file {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"schema file {path} does not hold a JSON object")
-    schema = EncodingSchema.from_dict(payload)
-    stored = payload.get("fingerprint")
-    if stored and stored != schema.fingerprint:
-        raise DataError(f"schema file {path} fails its own fingerprint check")
-    return schema
 
 
 def synthetic_schema(feature_dim: int) -> EncodingSchema:

@@ -21,7 +21,7 @@ from c2bnvae import model as mm
 from c2bnvae.costing import count_params_flops
 from c2bnvae.experiment import ExperimentConfig, preprocess, run_all
 from c2bnvae.losses import kl_gaussian, mse_loss
-from c2bnvae.metrics import EvalReport, accuracy, weighted_prf
+from c2bnvae.metrics import EvalReport, accuracy
 from c2bnvae.nn import CondBatchNorm1d
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
@@ -183,8 +183,7 @@ def test_criterion_5_oversampler_properties():
         bal.BalanceRequest(data, seed=50), ckpt)
     lo, hi = minor.min(axis=0), minor.max(axis=0)
     for name, out in outputs.items():
-        counts = class_counts(out, num_classes=2)
-        assert counts.tolist() == [70, 70], name
+        assert class_counts(out).tolist() == [70, 70, 0, 0, 0], name
         synth = out.features[len(data):]
         if name in ("smote", "borderline_smote", "kmeans_smote", "svm_smote"):
             assert np.all(synth >= lo - 1e-12) and np.all(synth <= hi + 1e-12), name
@@ -232,7 +231,8 @@ def test_criterion_6_classifier_oracle():
 def test_criterion_7_metrics_oracle():
     cm = np.array([[2, 0], [1, 1]])
     acc = accuracy(cm)
-    pre_w, recall_w, f1_w = weighted_prf(cm)
+    report = EvalReport.from_confusion("row", cm)
+    pre_w, recall_w, f1_w = report.pre_w, report.recall_w, report.f1_w
     assert abs(acc - 75.00) < 0.01
     assert abs(pre_w - 83.33) < 0.01
     assert abs(recall_w - 75.00) < 0.01
@@ -244,7 +244,7 @@ def test_criterion_7_metrics_oracle():
         random_cm = rng.integers(0, 40, size=(side, side))
         if random_cm.sum() == 0:
             random_cm[0, 0] = 1
-        _, recall, _ = weighted_prf(random_cm)
+        recall = EvalReport.from_confusion("row", random_cm).recall_w
         assert recall == pytest.approx(accuracy(random_cm), abs=1e-9)
     announce(7, "reference matrix within 0.01, Acc == Recall_w on 1000 "
                 "random matrices")

@@ -26,6 +26,22 @@ def imbalanced_blobs(n_major=60, n_minor=12, dim=3, seed=0) -> EncodedDataset:
 
 OVERSAMPLERS = ("borderline_smote", "kmeans_smote", "random_oversample", "smote",
                 "svm_smote")
+BALANCERS = OVERSAMPLERS + ("generative_balance",)
+
+
+@pytest.fixture(scope="module")
+def three_class_checkpoint():
+    """A 3-class generator for 3-wide toy datasets."""
+    config = ModelConfig(feature_dim=3, num_classes=3, latent_dim=2, hidden_widths=(8,),
+                         lr=3e-3, epochs=2, batch_size=32, seed=3)
+    return train(imbalanced_blobs(), config)[0]
+
+
+def balance(name: str, data: EncodedDataset, checkpoint) -> EncodedDataset:
+    request = BalanceRequest(data, seed=4)
+    if name == "generative_balance":
+        return generative_balance(request, checkpoint)
+    return getattr(balancers, name)(request)
 
 
 class TestSharedInvariants:
@@ -35,7 +51,7 @@ class TestSharedInvariants:
         balancer = getattr(balancers, name)
         out_a = balancer(BalanceRequest(data, seed=11))
         out_b = balancer(BalanceRequest(data, seed=11))
-        counts = class_counts(out_a, num_classes=2)
+        counts = class_counts(out_a)[:2]
         assert counts.tolist() == [60, 60]
         # originals unchanged, in order, as a prefix
         assert np.array_equal(out_a.features[: len(data)], data.features)
@@ -54,11 +70,30 @@ class TestSharedInvariants:
         assert np.array_equal(out.features, data.features)
         assert np.array_equal(out.labels, data.labels)
 
-
-    @pytest.mark.parametrize("name", OVERSAMPLERS)
-    def test_empty_dataset_rejected(self, name):
+    @pytest.mark.parametrize("name", BALANCERS)
+    def test_empty_dataset_rejected(self, name, three_class_checkpoint):
         with pytest.raises(DataError, match="empty"):
-            getattr(balancers, name)(BalanceRequest(toy_dataset(np.zeros((0, 2)), [])))
+            balance(name, toy_dataset(np.zeros((0, 3)), []), three_class_checkpoint)
+
+    @pytest.mark.parametrize("name", BALANCERS)
+    def test_output_is_read_only(self, name, three_class_checkpoint):
+        out = balance(name, imbalanced_blobs(), three_class_checkpoint)
+        with pytest.raises(ValueError, match="read-only"):
+            out.features[-1, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            out.labels[-1] = 0
+
+    @pytest.mark.parametrize("absent", [1, 2], ids=["middle", "top"])
+    @pytest.mark.parametrize("name", BALANCERS)
+    def test_absent_class_is_skipped_wherever_it_sits(self, name, absent,
+                                                      three_class_checkpoint):
+        blobs = imbalanced_blobs()
+        present = 3 - absent  # the minority class takes the other label
+        data = toy_dataset(blobs.features, np.where(blobs.labels == 1, present, 0))
+        out = balance(name, data, three_class_checkpoint)
+        expected = [60, 60, 60]
+        expected[absent] = 0
+        assert class_counts(out)[:3].tolist() == expected
 
 
 class TestRandomOversample:
@@ -70,10 +105,11 @@ class TestRandomOversample:
             assert label == 1
             assert any(np.array_equal(row, orig) for orig in originals)
 
-    def test_deficit_without_samples_rejected(self):
+    def test_absent_class_is_skipped(self):
+        # class 1 has a deficit of 3 but no row to copy: it stays absent
         data = toy_dataset(np.random.default_rng(0).random((4, 2)), [0, 0, 0, 2])
-        with pytest.raises(DataError):
-            random_oversample(BalanceRequest(data, seed=0))
+        out = random_oversample(BalanceRequest(data, seed=0))
+        assert class_counts(out).tolist() == [3, 0, 3, 0, 0]
 
 
 class TestSmote:
@@ -158,13 +194,13 @@ class TestBorderline:
                            [0] * 30 + [1] * 10)
         with caplog.at_level("INFO"):
             out = borderline_smote(BalanceRequest(data, seed=6), k=3, m=5)
-        assert class_counts(out, num_classes=2).tolist() == [30, 30]
+        assert class_counts(out)[:2].tolist() == [30, 30]
         assert any("falling back" in r.message for r in caplog.records)
 
     def test_balanced_counts(self):
         data, _ = self.configuration()
         out = borderline_smote(BalanceRequest(data, seed=7), k=2, m=4)
-        counts = class_counts(out, num_classes=2)
+        counts = class_counts(out)[:2]
         assert counts[0] == counts[1]
 
 
@@ -173,7 +209,7 @@ class TestKmeansSmote:
         data = imbalanced_blobs(seed=8)
         out = kmeans_smote(BalanceRequest(data, seed=8), k=3, n_clusters=1,
                            imbalance_threshold=0.0)
-        counts = class_counts(out, num_classes=2)
+        counts = class_counts(out)[:2]
         assert counts.tolist() == [60, 60]
         originals = data.features[data.labels == 1]
         lo, hi = originals.min(axis=0), originals.max(axis=0)
@@ -217,7 +253,7 @@ class TestKmeansSmote:
         with caplog.at_level("INFO"):
             out = kmeans_smote(BalanceRequest(data, seed=10), k=3, n_clusters=1,
                                imbalance_threshold=0.99)
-        assert class_counts(out, num_classes=2).tolist() == [60, 60]
+        assert class_counts(out)[:2].tolist() == [60, 60]
         assert any("falling back" in r.message for r in caplog.records)
 
 
@@ -252,7 +288,7 @@ class TestSvmSmote:
         out = svm_smote(BalanceRequest(data, seed=13), k=3, penalty=10.0)
         synth = out.features[len(data):]
         assert len(synth) == 64
-        assert class_counts(out, num_classes=2).tolist() == [80, 80]
+        assert class_counts(out)[:2].tolist() == [80, 80]
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         assert np.all(synth >= lo - 1e-12) and np.all(synth <= hi + 1e-12)
 
@@ -372,7 +408,7 @@ class TestLinearSvm:
         features, labels = padded_encoding()
         out = svm_smote(BalanceRequest(toy_dataset(features, labels), seed=21), k=3)
         assert np.bincount(labels).tolist() == [65, 13, 10, 2]
-        assert class_counts(out, num_classes=4).tolist() == [65] * 4
+        assert class_counts(out)[:4].tolist() == [65] * 4
 
 
 class TestGenerativeBalance:
@@ -389,7 +425,7 @@ class TestGenerativeBalance:
     def test_counts_range_and_conservation(self, trained):
         data, ckpt = trained
         out = generative_balance(BalanceRequest(data, seed=15), ckpt)
-        counts = class_counts(out, num_classes=2)
+        counts = class_counts(out)[:2]
         assert counts.tolist() == [80, 80]
         synth = out.features[len(data):]
         assert np.all((synth > 0.0) & (synth < 1.0))

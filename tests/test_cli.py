@@ -94,10 +94,12 @@ class TestExitCodes:
         # loader rejects such a file (features lie in [0, 1]), so the
         # poisoned split reaches training in memory
         from c2bnvae import cli
-        from c2bnvae.nslkdd import load_dataset
+        from c2bnvae.nslkdd import EncodedDataset, load_dataset
 
-        train_set = load_dataset(preprocessed / "encoded" / "train.c2ds")
-        train_set.features[0, 0] = 1e300
+        loaded = load_dataset(preprocessed / "encoded" / "train.c2ds")
+        features = loaded.features.copy()
+        features[0, 0] = 1e300
+        train_set = EncodedDataset(features, loaded.labels, loaded.schema)
         test_set = load_dataset(preprocessed / "encoded" / "test.c2ds")
         monkeypatch.setattr(cli, "load_encoded", lambda config: (train_set, test_set))
         out = tmp_path / "poisoned"
@@ -248,24 +250,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_label_past_the_classes_is_two(self, corpus_files, tmp_path, split, fmt,
                                            capsys):
-        from c2bnvae.nslkdd import load_dataset, save_dataset
-
         train, test = corpus_files
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
                                       "out_dir": str(tmp_path), "dataset_format": fmt}))
         assert main(["preprocess", "--config", str(config)]) == EXIT_OK
         path = tmp_path / "encoded" / f"{split}.{'c2ds' if fmt == 'binary' else 'csv'}"
-        dataset = load_dataset(path)
-        dataset.labels[0] = 7
-        save_dataset(dataset, path, fmt=fmt)
+        # no dataset holds a label of 7, so the file's bytes are edited
+        raw = path.read_bytes()
+        if fmt == "binary":
+            (head_len,) = struct.unpack_from("<Q", raw, 8)
+            at = 16 + head_len + 8  # the first label, past its block's length field
+            path.write_bytes(raw[:at] + struct.pack("<q", 7) + raw[at + 8:])
+        else:
+            comment, columns, first, rest = raw.split(b"\n", 3)
+            first = b"7" + first[first.index(b","):]
+            path.write_bytes(b"\n".join([comment, columns, first, rest]))
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "labels must be below 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_feature_outside_unit_interval_is_two(self, corpus_files, tmp_path, fmt,
                                                   capsys):
-        from c2bnvae.nslkdd import load_dataset, save_dataset
+        from c2bnvae.nslkdd import EncodedDataset, load_dataset, save_dataset
 
         train, test = corpus_files
         config = tmp_path / "config.json"
@@ -274,8 +281,9 @@ class TestExitCodes:
         assert main(["preprocess", "--config", str(config)]) == EXIT_OK
         path = tmp_path / "encoded" / f"train.{'c2ds' if fmt == 'binary' else 'csv'}"
         dataset = load_dataset(path)
-        dataset.features[0, 0] = 1.25
-        save_dataset(dataset, path, fmt=fmt)
+        features = dataset.features.copy()
+        features[0, 0] = 1.25  # the loader checks feature values, the dataset does not
+        save_dataset(EncodedDataset(features, dataset.labels, dataset.schema), path, fmt=fmt)
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "features must lie in [0, 1]" in capsys.readouterr().err
 

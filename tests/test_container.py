@@ -93,7 +93,9 @@ class TestGoldenDigests:
         loaded = load_dataset(path)
         assert np.array_equal(loaded.features, tiny_dataset().features)
         assert np.array_equal(loaded.labels, tiny_dataset().labels)
-        assert loaded.features.flags.writeable and loaded.features.flags.aligned
+        # the loader copies out of the file buffer: the dataset's read-only
+        # view has an aligned array of its own underneath
+        assert loaded.features.base.flags.owndata and loaded.features.flags.aligned
 
 
 class TestExplicitCorruption:

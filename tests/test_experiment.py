@@ -15,7 +15,7 @@ from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
                                 stratified_subsample, write_trace_csv)
 from c2bnvae.metrics import EvalReport
 from c2bnvae.model import ModelConfig, TraceRow
-from c2bnvae.nslkdd import class_counts, load_dataset
+from c2bnvae.nslkdd import CATEGORY_NAMES, class_counts, load_dataset
 
 import corpus
 from helpers import JSON_TOKENS, file_mutations
@@ -73,8 +73,11 @@ class TestPreprocess:
         artifacts = preprocess(config)
         assert artifacts["feature_dim"] == 123  # padded default
         assert artifacts["counts"].tolist() == [corpus.TRAIN_MIX[c] for c in ("Normal", "DoS", "Probe", "R2L", "U2R")]
-        for key in ("train", "test", "schema"):
+        for key in ("train", "test"):
             assert Path(artifacts[key]).exists()
+        # each dataset's header carries the schema; no file of its own
+        assert sorted(p.name for p in config.encoded_dir().iterdir()) == [
+            "counts.txt", "test.c2ds", "train.c2ds"]
         counts_text = (config.encoded_dir() / "counts.txt").read_text()
         assert counts_text.startswith("# manifest ")
         assert "Normal 640" in counts_text
@@ -266,6 +269,28 @@ def test_every_generator_setting_comes_from_the_experiment_config():
     for name, value in settings.items():
         assert value != getattr(defaults, name), name
         assert getattr(built, name) == value, name
+
+
+@pytest.mark.parametrize("absent", ["R2L", "U2R"])
+def test_a_class_absent_from_training_is_skipped_by_every_row(tmp_path, absent):
+    # R2L sits between other labels and U2R is the top one; both end alike
+    train_mix = {name: count for name, count in corpus.TRAIN_MIX.items() if name != absent}
+    corpus_files = corpus.write_corpus(tmp_path, train_mix=train_mix)
+    config = make_config(corpus_files, tmp_path / "exp", epochs=1)
+    preprocess(config)
+    rows = dict(run_all(config))
+    missing = CATEGORY_NAMES.index(absent)
+    for slug, name in (("random_oversampling", "Random oversampling"),
+                       ("smote", "SMOTE"), ("borderline_smote", "Borderline SMOTE"),
+                       ("kmeans_smote", "KMeans SMOTE"), ("svm_smote", "SVM SMOTE"),
+                       ("cvae", "CVAE"), ("c2bnvae", "C2BNVAE")):
+        assert isinstance(rows[name], EvalReport), f"{name}: {rows[name]}"
+        sidecar = json.loads((config.results_dir() / f"{slug}_balance_manifest.json")
+                             .read_text())
+        synthetic = sidecar["synthetic_per_class"]
+        assert synthetic[missing] == 0, slug
+        assert all(count > 0 for i, count in enumerate(synthetic)
+                   if i not in (0, missing)), slug
 
 
 class RecordingConfig:

@@ -5,10 +5,15 @@ from hypothesis import strategies as st
 
 from c2bnvae.errors import DataError, LabelError
 from c2bnvae.metrics import (EvalReport, accuracy, confusion, format_percent,
-                             per_class_prf, results_table, round_half_up,
-                             weighted_prf)
+                             per_class_prf, results_table, round_half_up)
 
 REFERENCE_CM = np.array([[2, 0], [1, 1]])
+
+
+def weighted(cm) -> tuple[float, float, float]:
+    """The report's percent (Pre_w, Recall_w, F1_w) of ``cm``."""
+    report = EvalReport.from_confusion("row", cm)
+    return report.pre_w, report.recall_w, report.f1_w
 
 
 class TestConfusion:
@@ -52,10 +57,10 @@ class TestAccuracy:
 
 class TestWeighted:
     def test_perfect_predictions(self):
-        assert weighted_prf(np.diag([5, 2, 9])) == pytest.approx((100.0, 100.0, 100.0))
+        assert weighted(np.diag([5, 2, 9])) == pytest.approx((100.0, 100.0, 100.0))
 
     def test_reference_example(self):
-        pre_w, recall_w, f1_w = weighted_prf(REFERENCE_CM)
+        pre_w, recall_w, f1_w = weighted(REFERENCE_CM)
         assert round_half_up(pre_w) == pytest.approx(83.33)
         assert round_half_up(recall_w) == pytest.approx(75.0)
         assert round_half_up(f1_w) == pytest.approx(73.33)
@@ -65,7 +70,7 @@ class TestWeighted:
         precision, recall, f1, flags = per_class_prf(cm)
         assert recall[2] == 0.0
         assert any("absent" in f for f in flags)
-        pre_w, recall_w, f1_w = weighted_prf(cm)
+        pre_w, recall_w, f1_w = weighted(cm)
         assert recall_w == pytest.approx(accuracy(cm))
 
     @settings(max_examples=300, deadline=None)
@@ -75,7 +80,7 @@ class TestWeighted:
         cm = np.array(flat[: side * side]).reshape(side, side)
         if cm.sum() == 0:
             cm[0, 0] = 1
-        _, recall_w, _ = weighted_prf(cm)
+        _, recall_w, _ = weighted(cm)
         assert recall_w == pytest.approx(accuracy(cm), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
@@ -87,7 +92,7 @@ class TestWeighted:
             cm[1, 2] = 3
         perm = np.array(perm)
         permuted = cm[np.ix_(perm, perm)]
-        assert weighted_prf(permuted) == pytest.approx(weighted_prf(cm))
+        assert weighted(permuted) == pytest.approx(weighted(cm))
         assert accuracy(permuted) == pytest.approx(accuracy(cm))
 
     @settings(max_examples=100, deadline=None)

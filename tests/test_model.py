@@ -147,9 +147,12 @@ class TestTrain:
             train(empty, blob_config())
 
     def test_rejects_out_of_range_labels(self):
+        # a valid category, but past the two classes the config trains
         data = blobs(n=64)
-        data.labels[3] = 2
-        with pytest.raises(LabelError):
+        labels = data.labels.copy()
+        labels[3] = 2
+        data = EncodedDataset(data.features, labels, data.schema)
+        with pytest.raises(LabelError, match="label 2 out of range for 2 classes"):
             train(data, blob_config(epochs=1))
 
     def test_rejects_label_count_mismatch(self):
@@ -188,7 +191,9 @@ class TestTrain:
 
     def test_nan_features_abort_with_location(self):
         data = blobs(n=64)
-        data.features[0, 0] = np.nan
+        features = data.features.copy()
+        features[0, 0] = np.nan
+        data = EncodedDataset(features, data.labels, data.schema)
         with pytest.raises(TrainingDiverged, match=r"epoch 0, batch \d"):
             train(data, blob_config(epochs=1))
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from c2bnvae.errors import LabelError, ShapeError
+from c2bnvae.errors import ShapeError
 from c2bnvae.model import C2BNVAE, ModelConfig
-from c2bnvae.nn import (CondBatchNorm1d, Linear, check_labels, flatten_parameters,
-                        he_init, leaky_relu, one_hot, sigmoid)
+from c2bnvae.nn import (CondBatchNorm1d, Linear, flatten_parameters, he_init,
+                        leaky_relu, one_hot, sigmoid)
 
 from helpers import assert_grads_close, finite_diff_grads
 
@@ -119,14 +119,6 @@ class TestCondBatchNorm:
         assert np.all(np.abs(normalized.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(normalized.var(axis=0) - 1.0) < 1e-6)
 
-    def test_label_out_of_range(self):
-        # labels are checked once where they enter (check_labels), not per layer
-        bank = make_cbn([[1.0]], [[0.0]])
-        with pytest.raises(LabelError):
-            check_labels(np.array([0, 1]), bank.num_classes)
-        with pytest.raises(LabelError):
-            check_labels(np.array([-1, 0]), bank.num_classes)
-
     def test_eval_mode_uses_running_statistics(self):
         bank = make_cbn([[1.0]], [[0.0]], eps=1e-12)
         bank.running_mean = np.array([10.0])
@@ -209,10 +201,6 @@ class TestBatchNorm:
 def test_one_hot_shape_and_range():
     oh = one_hot(np.array([0, 2, 1]), 3)
     np.testing.assert_array_equal(oh, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    with pytest.raises(LabelError):
-        check_labels(np.array([3]), 3)
-    with pytest.raises(ShapeError):
-        check_labels(np.zeros((2, 1), dtype=int), 3)
 
 
 def test_flatten_parameters_makes_views():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import struct
@@ -13,13 +14,12 @@ from hypothesis import strategies as st
 from c2bnvae import nslkdd
 from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError, LabelError
-from c2bnvae.nslkdd import (CATEGORICAL_INDICES, CATEGORY_NAMES, CODED_INDICES,
-                            DATASET_FORMAT_VERSION, DATASET_MAGIC, FEATURE_NAMES,
-                            NUM_CATEGORIES, NUMERIC_INDICES, EncodedDataset,
-                            EncodingSchema, attack_labels, class_counts,
-                            default_taxonomy, fit_schema, inverse_transform,
-                            load_dataset, load_schema, load_taxonomy, map_attack,
-                            parse_records, read_records, save_dataset, save_schema,
+from c2bnvae.nslkdd import (CATEGORY_NAMES, CODED_INDICES, DATASET_FORMAT_VERSION,
+                            DATASET_MAGIC, FEATURE_NAMES, NUM_CATEGORIES,
+                            NUMERIC_INDICES, EncodedDataset, EncodingSchema,
+                            attack_labels, class_counts, default_taxonomy,
+                            fit_schema, load_dataset, load_taxonomy, map_attack,
+                            parse_records, read_records, save_dataset,
                             synthetic_schema, transform)
 
 import corpus
@@ -234,31 +234,9 @@ class TestSchema:
     def test_constant_column_flagged_and_maps_to_zero(self, splits, fitted):
         schema, taxonomy, encoded = fitted
         # the corpus keeps several columns constant at zero
-        assert "num_outbound_cmds" in schema.constant_numerics
+        assert schema.numeric_min["num_outbound_cmds"] == schema.numeric_max["num_outbound_cmds"]
         (block,) = [b for b in schema.column_blocks() if b[0] == "num_outbound_cmds"]
         assert np.all(encoded.features[:, block[1]] == 0.0)
-
-    def test_schema_file_round_trip(self, fitted, tmp_path):
-        schema, _, _ = fitted
-        path = tmp_path / "schema.json"
-        save_schema(schema, path)
-        loaded = load_schema(path)
-        assert loaded == schema
-        assert loaded.fingerprint == schema.fingerprint
-
-    @pytest.mark.parametrize("text", [None, "[1, 2]", "\udcff"])
-    def test_malformed_schema_file_is_data_error(self, fitted, tmp_path, text):
-        schema, _, _ = fitted
-        path = tmp_path / "schema.json"
-        save_schema(schema, path)
-        if text is None:  # truncated
-            path.write_text(path.read_text()[:40])
-        elif text == "\udcff":  # not UTF-8
-            path.write_bytes(b"\xff\xfe{}")
-        else:
-            path.write_text(text)
-        with pytest.raises(DataError):
-            load_schema(path)
 
 
 class TestTransform:
@@ -324,39 +302,6 @@ class TestTransform:
         assert np.all(pad_cols == 0.0)
 
 
-class TestInverse:
-    def test_round_trip(self, splits, fitted):
-        schema, taxonomy, encoded = fitted
-        train, _ = splits
-        for idx in (0, 7, 100):
-            values = inverse_transform(encoded.features[idx], schema)
-            for i, value in enumerate(values):
-                if i in CATEGORICAL_INDICES:
-                    assert value == table_column(train, i)[idx]
-                else:
-                    original = train.numeric[idx, NUMERIC_INDICES.index(i)]
-                    assert value == pytest.approx(original, rel=1e-9, abs=1e-9)
-
-    def test_uniform_block_resolves_to_first_entry(self, fitted):
-        schema, _, _ = fitted
-        row = np.zeros(schema.feature_dim)
-        values = inverse_transform(row, schema)
-        assert values[1] == schema.vocabularies["protocol_type"][0]
-
-    def test_argmax_resolution(self, fitted):
-        schema, _, _ = fitted
-        row = np.zeros(schema.feature_dim)
-        (block,) = [b for b in schema.column_blocks() if b[0] == "protocol_type"]
-        row[block[1]:block[1] + 3] = [0.2, 0.7, 0.1]
-        values = inverse_transform(row, schema)
-        assert values[1] == schema.vocabularies["protocol_type"][1]
-
-    def test_row_width_validated(self, fitted):
-        schema, _, _ = fitted
-        with pytest.raises(DataError):
-            inverse_transform(np.zeros(schema.feature_dim + 1), schema)
-
-
 class TestCounts:
     def test_counts_match_mix(self, fitted):
         _, _, encoded = fitted
@@ -369,6 +314,46 @@ class TestCounts:
         empty = EncodedDataset(features=np.zeros((0, schema.feature_dim)),
                                labels=np.zeros(0, dtype=int), schema=schema)
         assert class_counts(empty).tolist() == [0] * 5
+
+
+def assert_read_only(dataset: EncodedDataset) -> None:
+    """Every write through ``dataset`` raises."""
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.features[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.labels[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dataset.labels = dataset.labels[:1]
+
+
+class TestDatasetInvariants:
+    """The constructor owns the structural checks, and no write through a
+    dataset can undo them."""
+
+    def test_transform_output_is_read_only(self, fitted):
+        assert_read_only(fitted[2])
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_loaded_dataset_is_read_only(self, fitted, tmp_path, fmt):
+        path = tmp_path / "train.data"
+        save_dataset(fitted[2], path, fmt=fmt)
+        assert_read_only(load_dataset(path))
+
+    def test_callers_arrays_stay_writeable(self):
+        features, labels = np.zeros((2, 3)), np.array([0, 4])
+        dataset = EncodedDataset(features, labels, synthetic_schema(3))
+        assert_read_only(dataset)
+        assert features.flags.writeable and labels.flags.writeable
+
+    def test_two_d_labels_refused(self):
+        with pytest.raises(DataError, match=r"labels \(2, 1\) are inconsistent"):
+            EncodedDataset(np.zeros((2, 3)), np.zeros((2, 1), dtype=int), synthetic_schema(3))
+
+    @pytest.mark.parametrize("label, message", [(NUM_CATEGORIES, "below 5, got 5"),
+                                                (-1, "nonnegative, got -1")])
+    def test_label_outside_the_categories_refused(self, label, message):
+        with pytest.raises(DataError, match=f"labels must be {message}"):
+            EncodedDataset(np.zeros((2, 3)), np.array([0, label]), synthetic_schema(3))
 
 
 class TestDatasetIO:
@@ -611,15 +596,24 @@ class TestAtomicWrites:
         def __getitem__(self, rows):
             raise OSError("disk full")
 
+    class FailingDataset:
+        """A stand-in for a dataset whose features are ``FailsMidway``; a
+        real ``EncodedDataset`` reads its arrays when it is built."""
+
+        def __init__(self, dataset, rows):
+            self.features = TestAtomicWrites.FailsMidway(dataset.features[:rows])
+            self.labels, self.schema = dataset.labels[:rows], dataset.schema
+
+        def __len__(self):
+            return len(self.labels)
+
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_failed_dataset_write_keeps_the_old_file(self, fitted, tmp_path, fmt):
         _, _, encoded = fitted
         path = tmp_path / "train.data"
         save_dataset(encoded, path, fmt=fmt)
         before = path.read_bytes()
-        failing = EncodedDataset(features=encoded.features[:3], labels=encoded.labels[:3],
-                                 schema=encoded.schema)
-        failing.features = self.FailsMidway(failing.features)
+        failing = self.FailingDataset(encoded, 3)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(failing, path, fmt=fmt)
         assert path.read_bytes() == before
@@ -833,18 +827,24 @@ class TestRecordAndSchemaFuzz:
         check()
 
     def test_schema_loads_or_is_data_error(self, fitted, tmp_path_factory):
+        # a schema enters only through a dataset header: mutate the JSON of
+        # a binary dataset's header, which holds the schema, over empty arrays
         schema, _, _ = fitted
-        path = tmp_path_factory.mktemp("schema_fuzz") / "schema.json"
-        save_schema(schema, path, manifest={"seed": 7})
+        path = tmp_path_factory.mktemp("schema_fuzz") / "empty.c2ds"
+        save_dataset(EncodedDataset(np.zeros((0, schema.feature_dim)),
+                                    np.zeros(0, dtype=np.int64), schema),
+                     path, manifest={"seed": 7})
         raw = path.read_bytes()
+        (head_len,) = struct.unpack_from("<Q", raw, 8)
+        head, blocks = raw[16:16 + head_len], raw[16 + head_len:]
 
         @settings(max_examples=300, deadline=None)
-        @given(file_mutations(raw, JSON_TOKENS))
+        @given(file_mutations(head, JSON_TOKENS))
         @example(b"[" * 100_000 + b"]" * 100_000)  # past the parser's recursion limit
         def check(mutated):
-            path.write_bytes(mutated)
+            path.write_bytes(raw[:8] + struct.pack("<Q", len(mutated)) + mutated + blocks)
             try:
-                load_schema(path)
+                load_dataset(path)
             except DataError:
                 pass
 
