@@ -95,7 +95,7 @@ def _sq_dists(queries: Array, points: Array) -> Array:
 
 
 def _knn_indices(queries: Array, points: Array, k: int,
-                 exclude_self: bool = False, chunk: int = 128) -> Array:
+                 exclude_self: bool = False) -> Array:
     """Indices of the k nearest ``points`` per query row, nearest first.
 
     ``exclude_self`` treats query i as points[i] (same array) and drops it.
@@ -105,8 +105,8 @@ def _knn_indices(queries: Array, points: Array, k: int,
     n = len(queries)
     k = min(k, len(points) - (1 if exclude_self else 0))
     out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
+    for start in range(0, n, KNN_CHUNK):
+        stop = min(n, start + KNN_CHUNK)
         d2 = _sq_dists(queries[start:stop], points)
         if exclude_self:
             d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
@@ -134,8 +134,7 @@ def _drop_own_row(table: Array, own_positions: Array) -> Array:
     return table[keep].reshape(q, width - 1)
 
 
-def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator,
-            max_iter: int = 300) -> Array:
+def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator) -> Array:
     """Seeded k-means++ assignment over rows; returns cluster index per row."""
     n = len(points)
     n_clusters = min(n_clusters, n)
@@ -153,7 +152,7 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator,
             centers[j] = points[pick]
         d2 = np.minimum(d2, _sq_dists(points, centers[j:j + 1])[:, 0])
     assign = np.full(n, -1, dtype=np.int64)
-    for _iteration in range(max_iter):
+    for _iteration in range(KMEANS_MAX_ITER):
         new_assign = np.argmin(_sq_dists(points, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -165,6 +164,8 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator,
     return assign
 
 
+KNN_CHUNK = 128  # query rows whose distances to every point are computed at once
+KMEANS_MAX_ITER = 300  # backstop only: Lloyd's loop ends once no assignment changes
 SVM_MAX_ITER = 100  # backstop only: the Newton loop ends in finitely many steps
 
 

@@ -179,7 +179,9 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except (DataError, LabelError, ShapeError) as exc:
+    # an OSError here is a path the run cannot read or write, such as out/models
+    # being a file; its text names the path
+    except (DataError, LabelError, ShapeError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except TrainingDiverged as exc:

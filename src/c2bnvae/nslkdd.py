@@ -37,7 +37,9 @@ Array = np.ndarray
 DATASET_FORMAT_VERSION = 1
 DATASET_MAGIC = b"C2DS"
 DATASET_FORMATS = ("binary", "csv")
-CSV_BLOCK = 1024  # rows formatted together by the CSV writer
+CSV_BLOCK = 1024  # rows the CSV writer formats, and the reader converts, together
+CSV_FIELD_CHARS = 24  # the longest field the CSV writer writes: a float64's repr
+CSV_ROW_BYTES = b"0123456789.e+-,\n"  # every character the CSV writer writes in a row
 
 FEATURE_NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -292,9 +294,9 @@ class EncodingSchema:
         for name in self.numeric_min:
             if self.numeric_min[name] > self.numeric_max[name]:
                 raise DataError(f"numeric feature {name!r} has min > max")
-        base = len(self.numeric_min) + sum(len(v) for v in self.vocabularies.values())
-        if self.pad_to is not None and self.pad_to < base:
-            raise DataError(f"pad_to={self.pad_to} is below the encoded width {base}")
+        if self.pad_to is not None and self.pad_to < self.base_dim:
+            raise DataError(f"pad_to={self.pad_to} is below the encoded width "
+                            f"{self.base_dim}")
 
     @property
     def base_dim(self) -> int:
@@ -568,18 +570,17 @@ def _load_binary(data: bytes, path: Path) -> EncodedDataset:
 
 
 def _load_csv(fh, path: Path) -> EncodedDataset:
-    """Read a CSV dataset as ``csv.reader`` splits it, with the label of each
-    row converted by ``int`` and its features by ``float``.
+    """Read a CSV dataset as ``save_dataset(fmt="csv")`` writes it.
 
-    Rows are read in blocks of ``CSV_BLOCK`` lines. A block with no quote,
-    NUL, blank or overlong line splits at every comma, and ``np.loadtxt``
-    converts it in one call, handing each ASCII field to the parser that
-    ``float`` uses. A block that any of its fields fails there (a bad line,
-    or text only ``float`` reads, such as ``1_0``) is read again row by row
-    through ``csv.reader``, which converts or names the first bad line.
-    From the first block with any of those four on, every row is read that
-    way: a quoted field may span lines. Bytes that are not UTF-8 raise
-    where a row-by-row reader would meet them (``_blocks``).
+    After the ``# {json}`` line and the column header the writer writes,
+    every line is a row: an integer label and ``feature_dim`` numbers,
+    split at every comma and never quoted. Each block of ``CSV_BLOCK`` rows
+    is converted by one ``np.loadtxt`` call, which reads each label once as
+    a 64-bit integer and each feature as a float64. Any other line (a blank
+    one, a character outside ``CSV_ROW_BYTES`` such as a space, a quote, a
+    NUL, ``_`` or ``٣``, a wrong field count, more than ``CSV_FIELD_CHARS``
+    characters a field) is a DataError naming the first line of its block
+    that the same conversion refuses on its own.
     """
     first = fh.readline()
     if not first.startswith("# "):
@@ -589,95 +590,54 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
     except (ValueError, RecursionError) as exc:  # not JSON, too deep
         raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
     schema = _header_schema(meta, f"{path}: CSV comment header")
-    width = schema.feature_dim + 1
-    labels: list[int] = []
-    blocks: list[Array] = []
-    header = fh.readline()
-    if not header:
-        raise DataError(f"{path}: CSV has no column header line")
+    names = ",".join(["label"] + [f"f{i}" for i in range(schema.feature_dim)])
+    if fh.readline() != names + "\n":
+        raise DataError(f"{path} line 2: the column header is not {names}")
+    row = np.dtype([("label", "<i8"), ("features", "<f8", (schema.feature_dim,))])
+    blocks = []
+    lineno = 3  # the file line of the next block's first row
+    while block := list(itertools.islice(fh, CSV_BLOCK)):
+        rows = _csv_rows_of(block, row)
+        if rows is None:
+            rows = np.concatenate([_csv_line(line, row, path, i)
+                                   for i, line in enumerate(block, start=lineno)])
+        blocks.append(rows)
+        lineno += len(block)
+    rows = np.concatenate(blocks) if blocks else np.zeros(0, dtype=row)
+    # contiguous copies, laid out as the binary loader lays its arrays out
+    return _checked(rows["features"].copy(), rows["label"].copy(), schema, path)
+
+
+def _csv_rows_of(lines: list[str], row: np.dtype) -> Array | None:
+    """``lines`` converted to records of dtype ``row``, or None if a line is
+    not a row as ``save_dataset`` writes one."""
+    width = row["features"].shape[0] + 1
+    # np.loadtxt skips a blank line, and warns if all are; it reads some
+    # characters the writer never writes otherwise than int and float do
+    # (\x1c as a space, some non-ASCII letters as label digits)
+    if ("\n" in lines or max(map(len, lines)) > width * (CSV_FIELD_CHARS + 1)
+            or "".join(lines).encode().translate(None, CSV_ROW_BYTES)):
+        return None
     try:
-        if not _plain_csv([header]):
-            _read_csv_rows(itertools.chain([header], fh), 2, width, path, labels, blocks,
-                           header=True)
-        lineno = 3  # the file line of the next block, and its row number
-        blocks_of_lines = _blocks(fh, CSV_BLOCK)
-        for block in blocks_of_lines:
-            if not _plain_csv(block):
-                rest = itertools.chain.from_iterable(blocks_of_lines)
-                _read_csv_rows(itertools.chain(block, rest), lineno, width, path,
-                               labels, blocks)
-                break
-            try:
-                table = np.loadtxt(block, delimiter=",", comments=None, quotechar=None,
-                                   dtype=np.float64, ndmin=2)
-                block_labels = [int(line.partition(",")[0]) for line in block]
-            except ValueError:
-                table = None
-            if table is not None and table.shape == (len(block), width):
-                labels += block_labels
-                blocks.append(table[:, 1:])
-            else:
-                _read_csv_rows(block, lineno, width, path, labels, blocks)
-            lineno += len(block)
-        label_array = np.array(labels, dtype=np.int64)
-    except OverflowError:
-        raise DataError(f"{path}: a label does not fit in 64 bits") from None
-    features = (np.concatenate(blocks) if blocks
-                else np.zeros((0, schema.feature_dim)))
-    return _checked(features, label_array, schema, path)
+        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, quotechar=None,
+                          ndmin=1)
+    except ValueError:
+        return None
 
 
-def _blocks(fh, size: int):
-    """The lines of ``fh`` in lists of up to ``size``. A chunk that fails to
-    decode ends the list before it, and its error is raised when the next
-    list is asked for, so the lines before it are read first."""
-    block = []
-    try:
-        for line in fh:
-            block.append(line)
-            if len(block) == size:
-                yield block
-                block = []
-    except UnicodeDecodeError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
-def _plain_csv(lines: list[str]) -> bool:
-    """Whether ``csv.reader`` splits each of these lines at its commas alone,
-    and none is blank (``np.loadtxt`` would skip it, and warn if all were)."""
-    text = "".join(lines)
-    return ('"' not in text and "\0" not in text and "\n" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit())
-
-
-def _read_csv_rows(lines, first_line: int, width: int, path: Path, labels: list[int],
-                   blocks: list[Array], header: bool = False) -> None:
-    """Read ``lines``, which start at file line ``first_line`` with the
-    column header if ``header``, through ``csv.reader`` into ``labels`` and
-    one block of ``blocks``; raises DataError naming the first bad row."""
-    reader = csv.reader(lines)
-    rows = []
-    try:
-        if header:
-            next(reader)
-        for lineno, row in enumerate(reader, start=first_line + header):
-            if len(row) != width:
-                raise DataError(f"{path} line {lineno}: expected {width} fields, "
-                                f"got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-                rows.append(list(map(float, row[1:])))
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: the label or a feature is "
-                                f"not a number") from None
-    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-        raise DataError(f"{path} line {first_line - 1 + reader.line_num}: {exc}") from None
-    if rows:
-        blocks.append(np.array(rows))
+def _csv_line(line: str, row: np.dtype, path: Path, lineno: int) -> Array:
+    """File line ``lineno`` converted as ``_csv_rows_of`` converts a block;
+    raises DataError if it refuses the line."""
+    rows = _csv_rows_of([line], row)
+    if rows is not None:
+        return rows
+    width, fields = row["features"].shape[0] + 1, line.count(",") + 1
+    if fields != width:
+        raise DataError(f"{path} line {lineno}: expected {width} fields, got {fields}")
+    if len(line) > width * (CSV_FIELD_CHARS + 1):  # each field, and a comma or newline
+        raise DataError(f"{path} line {lineno}: longer than {CSV_FIELD_CHARS} "
+                        f"characters a field")
+    raise DataError(f"{path} line {lineno}: the label or a feature is not a number")
 
 
 def synthetic_schema(feature_dim: int) -> EncodingSchema:

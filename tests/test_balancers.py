@@ -232,7 +232,7 @@ class TestKmeansSmote:
         # nothing on the bridge: every point is inside one island's hull bounds
         assert np.all(near_a | near_b)
 
-    def test_seeding_draw_past_the_rounded_cumsum(self):
+    def test_seeding_draw_past_the_rounded_cumsum(self, monkeypatch):
         class StubRng:
             def integers(self, n):
                 return 0
@@ -244,7 +244,8 @@ class TestKmeansSmote:
         points = np.vstack([points, points[:1]])  # last row: distance 0 to the first center
         d2 = balancers._sq_dists(points, points[:1])[:, 0]
         assert np.cumsum(d2 / d2.sum())[-1] < StubRng().random()
-        assign = balancers._kmeans(points, 2, StubRng(), max_iter=1)
+        monkeypatch.setattr(balancers, "KMEANS_MAX_ITER", 1)
+        assign = balancers._kmeans(points, 2, StubRng())
         # the second center is the last row with a positive distance, row 50
         assert assign[50] == 1 and assign[0] == assign[51] == 0
 

@@ -57,6 +57,29 @@ class TestExitCodes:
         assert f"cannot read {what}{tmp_path}: Is a directory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, blocker, make", [
+        ("preprocess", "encoded", "file"),
+        ("train-gen", "models", "file"),
+        ("train-gen", "models/c2bnvae.ckpt", "dir"),
+        ("run-all", "results", "file"),
+    ])
+    def test_unusable_output_path_is_two(self, corpus_files, preprocessed, tmp_path,
+                                         capsys, command, blocker, make):
+        out = tmp_path / "out"
+        shutil.copytree(preprocessed / "encoded", out / "encoded")
+        blocked = out / blocker
+        if make == "file":
+            shutil.rmtree(blocked, ignore_errors=True)
+            blocked.write_text("not a directory\n")
+        else:
+            blocked.mkdir(parents=True)
+        train, test = corpus_files
+        inputs = (["--train", str(train), "--test", str(test), "--seed", "3"]
+                  if command == "preprocess" else FAST_FLAGS)
+        assert main([command, "--out-dir", str(out), *inputs]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(blocked) in err and "Traceback" not in err
+
     def test_run_all_without_preprocess_is_two(self, tmp_path):
         assert main(["run-all", "--out-dir", str(tmp_path)]) == EXIT_DATA
 

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from c2bnvae import nslkdd
 from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError, LabelError
 from c2bnvae.nslkdd import (CATEGORY_NAMES, CODED_INDICES, DATASET_FORMAT_VERSION,
-                            DATASET_MAGIC, FEATURE_NAMES, NUM_CATEGORIES,
+                            DATASET_FORMATS, DATASET_MAGIC, FEATURE_NAMES, NUM_CATEGORIES,
                             NUMERIC_INDICES, EncodedDataset, EncodingSchema,
                             attack_labels, class_counts, default_taxonomy,
                             fit_schema, load_dataset, load_taxonomy, map_attack,
@@ -374,6 +375,36 @@ class TestDatasetIO:
         assert np.array_equal(loaded.features, encoded.features)
         assert np.array_equal(loaded.labels, encoded.labels)
 
+    @pytest.mark.parametrize("fmt", DATASET_FORMATS)
+    def test_round_trip_keeps_every_bit(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 2)  # rows cross block boundaries
+        path = tmp_path / "train.data"
+        edges = [0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0]
+        values = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+
+        @st.composite
+        def datasets(draw):
+            n, d = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+            return (draw(arrays(np.float64, (n, d), elements=values)),
+                    draw(arrays(np.int64, n, elements=st.integers(0, NUM_CATEGORIES - 1))))
+
+        @settings(max_examples=100, deadline=None)
+        @given(datasets())
+        @example((np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))
+        @example((np.array([edges]), np.array([4])))
+        @example((np.array([edges[::-1]] * 3), np.array([0, 2, 1])))
+        def check(drawn):
+            features, labels = drawn
+            dataset = EncodedDataset(features, labels, synthetic_schema(features.shape[1]))
+            save_dataset(dataset, path, fmt=fmt)
+            loaded = load_dataset(path)
+            assert loaded.labels.tolist() == labels.tolist()
+            assert loaded.features.shape == features.shape
+            assert (loaded.features.view(np.uint64).tolist()
+                    == features.view(np.uint64).tolist())
+
+        check()
+
     def test_csv_bytes_are_csv_writers(self, fitted, tmp_path, monkeypatch):
         _, _, encoded = fitted
         features = encoded.features[:7].copy()
@@ -655,7 +686,7 @@ class TestCsvFuzz:
         @settings(max_examples=400, deadline=None)
         @given(file_mutations(raw, CSV_TOKENS))
         @example(first_row(b"9" * 25 + lines[2][1:]))  # a label past 64 bits
-        @example(first_row(b"0," + b"1" * 200_000 + b",0,0"))  # past the csv field limit
+        @example(first_row(b"0," + b"1" * 200_000 + b",0,0"))  # an overlong field
         @example(first_row(lines[2].replace(b",", b"\x00,", 1)))
         def check(mutated):
             path.write_bytes(mutated)
@@ -668,69 +699,103 @@ class TestCsvFuzz:
 
 
 class TestCsvBlocks:
-    """``load_dataset`` converts a CSV dataset in blocks of rows and gives the
-    arrays or the DataError that reading it one ``csv.reader`` row at a time
-    gives (``records_reference.load_csv_dataset``)."""
+    """``load_dataset`` reads a CSV dataset in blocks of rows, one
+    ``np.loadtxt`` call each, and refuses every line that is not a row as
+    ``save_dataset`` writes one. Whatever it loads, reading the file one
+    ``csv.reader`` row at a time (``records_reference.load_csv_dataset``)
+    loads the same; whatever that reader refuses, it refuses."""
 
-    @staticmethod
-    def outcome(load, path):
-        try:
-            dataset = load(path)
-        except DataError as exc:
-            return str(exc)
-        return (dataset.labels.dtype, dataset.labels.tolist(), dataset.features.shape,
-                dataset.features.view(np.uint64).tolist(), dataset.schema)
-
-    def test_same_arrays_and_errors_as_row_by_row(self, tmp_path_factory, monkeypatch):
+    @pytest.fixture
+    def csv_run(self, tmp_path, monkeypatch):
+        """A seven-row CSV training split read in four blocks, the last
+        short, its file lines split at the row ends, and a ``run-all``
+        config over it."""
         rng = np.random.default_rng(11)
         features = rng.random((7, 3))
         features[2, 1], features[4, 0] = -0.0, 1e-300
         tiny = EncodedDataset(features=features, labels=np.array([0, 4, 1, 0, 2, 3, 1]),
                               schema=synthetic_schema(3))
-        path = tmp_path_factory.mktemp("csv_blocks") / "train.csv"
+        (tmp_path / "encoded").mkdir()
+        path = tmp_path / "encoded" / "train.csv"
         save_dataset(tiny, path, fmt="csv", manifest={"seed": 7})
-        raw = path.read_bytes()
-        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 2)  # four blocks, the last short
-        lines = raw.split(b"\r\n")  # the comment and the column names end in \n, \r\n
+        save_dataset(tiny, tmp_path / "encoded" / "test.csv", fmt="csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path), "dataset_format": "csv"}))
+        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 2)
+        # the comment ends in \n, the column names and each row in \r\n
+        comment, rest = path.read_bytes().split(b"\n", 1)
+        return path, [comment] + rest.split(b"\r\n"), config
 
-        def row(i: int, text: bytes, *more: tuple[int, bytes]) -> bytes:
-            edited = list(lines)
-            for j, line in ((i, text), *more):
-                edited[j] = line
-            return b"\r\n".join(edited)
+    @staticmethod
+    def edited(lines: list[bytes], *edits: tuple[int, bytes]) -> bytes:
+        """The file of ``lines`` with file line ``k`` replaced by ``text``
+        for each ``(k, text)`` of ``edits``."""
+        edited = list(lines)
+        for k, text in edits:
+            edited[k - 1] = text
+        return edited[0] + b"\n" + b"\r\n".join(edited[1:])
+
+    def test_loads_only_what_row_by_row_loads(self, csv_run):
+        path, lines, _ = csv_run
+        raw = self.edited(lines)
 
         @settings(max_examples=300, deadline=None)
         @given(file_mutations(raw, CSV_TOKENS))
         @example(raw)
-        @example(row(5, b'1,"0.5",0.25,0'))  # a quote, past the first block
-        @example(row(5, b'1,"0.5\n",0.25,0'))  # a quoted field over two lines
-        @example(row(6, b'1,"0.5\n",0.25,0'))  # ... and over two blocks
-        @example(row(4, b'1,"0.5\n",0.25,0', (7, b"0,x,0.5,0.5")))  # rows, not lines, count
-        @example(row(0, b'"label\nx",f0,f1,f2'))  # the column names over two lines
-        @example(row(4, "1_0,0.5_0,\u0663,0".encode()))  # only int and float read these
-        @example(row(4, "\u0663,0.5,0.5,0.5".encode()))  # a label in Arabic-Indic digits
-        @example(row(4, b""))  # an empty line
-        @example(row(3, b"", (4, b"")))  # a block of empty lines
-        @example(row(6, b" 1 ,0.5 ,\t0.5,0.5"))
-        @example(row(6, b"0,0.5,0.5," + b"1" * 200_000))  # past the csv field limit
-        @example(row(3, b"0,0.5,0.5,0.5\x00"))
-        @example(row(6, b"9" * 25 + b",0.5,0.5,0.5"))  # a label past 64 bits
-        @example(row(7, b"0,nan,0.5,0.5"))
-        @example(row(7, b"0,0.5,0.5") + b"\r\n0,0.5,0.5,0.5,0.5")  # two bad lines
+        @example(self.edited(lines, (8, b"1,0.5,0.5,0.5\x1c")))  # np.loadtxt's whitespace
+        @example(self.edited(lines, (9, b"0,nan,0.5,0.5")))
+        @example(self.edited(lines, (9, b"0,0.5,0.5")) + b"\r\n0,0.5,0.5,0.5,0.5")
+        @example(raw.replace(b",", b",\xff", 3))  # not UTF-8
         def check(mutated):
             path.write_bytes(mutated)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a malformed file raises, and says nothing else
-                assert (self.outcome(load_dataset, path)
-                        == self.outcome(reference.load_csv_dataset, path))
+                try:
+                    loaded = load_dataset(path)
+                except DataError:
+                    return
+            expected = reference.load_csv_dataset(path)
+            assert loaded.labels.tolist() == expected.labels.tolist()
+            assert (loaded.features.view(np.uint64).tolist()
+                    == expected.features.view(np.uint64).tolist())
 
         check()
 
-    @pytest.mark.parametrize("bad_row", [None, 5, 290])
+    NOT_A_NUMBER = "the label or a feature is not a number"
+
+    @pytest.mark.parametrize("edits, refusal", [
+        ([(7, b'1,"0.5",0.25,0')], f"line 7: {NOT_A_NUMBER}"),
+        ([(7, b'1,"0.5\n",0.25,0')], "line 7: expected 4 fields, got 2"),  # over two lines
+        ([(8, b'1,"0.5\n",0.25,0')], "line 8: expected 4 fields, got 2"),  # and two blocks
+        ([(2, b'"label\nx",f0,f1,f2')],  # the column names over two lines
+         "line 2: the column header is not label,f0,f1,f2"),
+        ([(8, b" 1 ,0.5 ,\t0.5,0.5")], f"line 8: {NOT_A_NUMBER}"),  # int and float read it
+        ([(8, b"1,0.5,0.5,0.5\x1c")], f"line 8: {NOT_A_NUMBER}"),  # only np.loadtxt reads it
+        ([(6, b"1_0,0.5,0.5,0.5")], f"line 6: {NOT_A_NUMBER}"),  # only int reads this label
+        ([(6, b"0,0.5_0,0.5,0.5")], f"line 6: {NOT_A_NUMBER}"),  # only float reads this
+        ([(6, "\u0663,0.5,0.5,0.5".encode())], f"line 6: {NOT_A_NUMBER}"),  # Arabic-Indic
+        ([(6, "0,0.5,\u0663,0.5".encode())], f"line 6: {NOT_A_NUMBER}"),
+        ([(6, b"")], "line 6: expected 4 fields, got 1"),  # a blank line
+        ([(5, b""), (6, b"")], "line 5: expected 4 fields, got 1"),  # a block of them
+        ([(5, b"0,0.5,0.5,0.5\x00")], f"line 5: {NOT_A_NUMBER}"),
+        ([(8, b"0,0.5,0.5,0." + b"1" * 200_000)],  # past csv.field_size_limit() too
+         "line 8: longer than 24 characters a field"),
+        ([(8, b"9" * 25 + b",0.5,0.5,0.5")], f"line 8: {NOT_A_NUMBER}"),  # past 64 bits
+        ([(3, b"0,x,0.5,0.5"), (6, b"")], f"line 3: {NOT_A_NUMBER}"),  # the first is named
+    ])
+    def test_refused_line_is_named(self, csv_run, capsys, edits, refusal):
+        path, lines, config = csv_run
+        path.write_bytes(self.edited(lines, *edits))
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{path} {refusal}"
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        assert f"{path} {refusal}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", [None, 290])
     def test_bytes_past_utf8_raise_where_row_by_row_meets_them(self, tmp_path, bad_row):
-        # 300 rows are past the 8 KiB a text file decodes at a time: a bad row
-        # in an earlier chunk than the bytes is met first, a bad row after it
-        # is never reached, and both fall inside one block of rows
+        # 300 rows are past the 8 KiB a text file decodes at a time, and
+        # inside one block of rows; a bad row after the bytes is never reached
         dataset = EncodedDataset(features=np.random.default_rng(3).random((300, 3)),
                                  labels=np.arange(300) % 5, schema=synthetic_schema(3))
         path = tmp_path / "train.csv"
@@ -739,11 +804,12 @@ class TestCsvBlocks:
         if bad_row is not None:
             lines[bad_row + 1] = b"0,x,0.5,0.5"
         path.write_bytes(b"\r\n".join(lines[:200] + [b"\xe2"] + lines[200:]))
-        expected = self.outcome(reference.load_csv_dataset, path)
-        assert self.outcome(load_dataset, path) == expected
-        assert expected == (f"{path} line 8: the label or a feature is not a number"
-                            if bad_row == 5 else
-                            f"{path} is neither a binary dataset nor a text CSV")
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{path} is neither a binary dataset nor a text CSV"
+        with pytest.raises(DataError) as oracle:
+            reference.load_csv_dataset(path)
+        assert str(oracle.value) == str(caught.value)
 
 
 class TestRecordAndSchemaFuzz:
