@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -114,7 +115,7 @@ def load_taxonomy(source) -> ClassTaxonomy:
             if name in mapping:
                 raise DataError(f"taxonomy line {lineno}: duplicate attack name {name!r}")
             mapping[name] = index_of[category]
-    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
         raise DataError(f"taxonomy file {where} line {reader.line_num}: {exc}") from None
     return ClassTaxonomy(category_names=CATEGORY_NAMES, mapping=mapping)
 
@@ -488,8 +489,7 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
             # the rows as csv.writer's default dialect writes them: ',' between
             # fields, '\r\n' after each row, and no quoting, which neither an
             # int nor the repr of a float ever needs
-            fh.write(",".join(["label"] + [f"f{i}" for i in range(dataset.schema.feature_dim)])
-                     + "\r\n")
+            fh.write(_csv_column_names(dataset.schema.feature_dim) + "\r\n")
             for start in range(0, len(dataset), CSV_BLOCK):
                 # a block at a time: formatting the whole array at once would
                 # hold every value as a Python string at once
@@ -497,6 +497,11 @@ def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
                 fh.write(_csv_rows(dataset.labels[start:stop], dataset.features[start:stop]))
     else:
         raise DataError(f"unknown dataset format {fmt!r}; use one of {DATASET_FORMATS}")
+
+
+def _csv_column_names(feature_dim: int) -> str:
+    """The column header line of a CSV dataset, without its line end."""
+    return ",".join(["label"] + [f"f{i}" for i in range(feature_dim)])
 
 
 def _csv_rows(labels: Array, features: Array) -> str:
@@ -590,7 +595,7 @@ def _load_csv(fh, path: Path) -> EncodedDataset:
     except (ValueError, RecursionError) as exc:  # not JSON, too deep
         raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
     schema = _header_schema(meta, f"{path}: CSV comment header")
-    names = ",".join(["label"] + [f"f{i}" for i in range(schema.feature_dim)])
+    names = _csv_column_names(schema.feature_dim)
     if fh.readline() != names + "\n":
         raise DataError(f"{path} line 2: the column header is not {names}")
     row = np.dtype([("label", "<i8"), ("features", "<f8", (schema.feature_dim,))])
@@ -619,9 +624,14 @@ def _csv_rows_of(lines: list[str], row: np.dtype) -> Array | None:
             or "".join(lines).encode().translate(None, CSV_ROW_BYTES)):
         return None
     try:
-        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, quotechar=None,
-                          ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy releases before the deprecation expired read an integer
+            # field such as 1.5 as a float and truncate it, with only a
+            # DeprecationWarning, which the default filters hide
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 

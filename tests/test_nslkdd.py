@@ -792,6 +792,34 @@ class TestCsvBlocks:
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert f"{path} {refusal}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # the default filters hide it
+    @pytest.mark.parametrize("truncating", [False, True])
+    @pytest.mark.parametrize("label", [b"1.5", b"1.9", b"4e0", b"1.0"])
+    def test_label_that_is_not_an_integer_is_named(self, csv_run, capsys, monkeypatch,
+                                                   label, truncating):
+        path, lines, config = csv_run
+        if truncating:
+            # as numpy's int64 parser was before its deprecation expired: a
+            # label such as 1.5 read as a float and truncated, with a warning
+            loadtxt = np.loadtxt
+
+            def truncating_loadtxt(rows, **kwargs):
+                split = [row.partition(",") for row in rows]
+                if any(not head.lstrip("+-").isdigit() for head, _, _ in split):
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning)
+                    rows = [str(int(float(head))) + sep + tail for head, sep, tail in split]
+                return loadtxt(rows, **kwargs)
+
+            monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path.write_bytes(self.edited(lines, (6, label + b",0.5,0.5,0.5")))
+        refusal = f"{path} line 6: {self.NOT_A_NUMBER}"
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == refusal
+        assert main(["run-all", "--config", str(config)]) == EXIT_DATA
+        assert refusal in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_row", [None, 290])
     def test_bytes_past_utf8_raise_where_row_by_row_meets_them(self, tmp_path, bad_row):
         # 300 rows are past the 8 KiB a text file decodes at a time, and
