@@ -105,9 +105,14 @@ def _knn_indices(queries: Array, points: Array, k: int,
     n = len(queries)
     k = min(k, len(points) - (1 if exclude_self else 0))
     out = np.empty((n, k), dtype=np.int64)
+    point_norms = np.sum(points**2, axis=1)
     for start in range(0, n, KNN_CHUNK):
         stop = min(n, start + KNN_CHUNK)
-        d2 = _sq_dists(queries[start:stop], points)
+        chunk = queries[start:stop]
+        # _sq_dists' operations in its order, written into one array
+        d2 = np.sum(chunk**2, axis=1)[:, None] + point_norms
+        d2 -= 2.0 * chunk @ points.T
+        np.maximum(d2, 0.0, out=d2)
         if exclude_self:
             d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         if k < d2.shape[1]:
@@ -164,7 +169,10 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator) -> Array:
     return assign
 
 
-KNN_CHUNK = 128  # query rows whose distances to every point are computed at once
+# query rows whose distances to every point are computed at once. Kept in
+# rows, not sized by cells: BLAS sums a product of another row count in
+# another order, which moves distance bits and so the order of near ties
+KNN_CHUNK = 128
 KMEANS_MAX_ITER = 300  # backstop only: Lloyd's loop ends once no assignment changes
 SVM_MAX_ITER = 100  # backstop only: the Newton loop ends in finitely many steps
 

@@ -24,7 +24,7 @@ import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -320,20 +320,72 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "_")
 
 
-# the generator row whose generator a forked helper process trains while the
-# rows before it run
-HELPER_ROW = "C2BNVAE"
+# the rows a forked helper process runs while the parent runs the others.
+# They are the only rows whose every call another row also makes in the
+# parent (the CVAE row trains, generates and calls generative_balance, and
+# every row fits and predicts a tree), so a tracer that records only in the
+# parent still sees every call; an oversampler row here would hide its span.
+HELPER_ROWS = ("Original imbalanced Data", "C2BNVAE")
 
 
-def _train_in_helper(config: ExperimentConfig, train_set: EncodedDataset,
-                     parent: int) -> None:
-    """The helper process: train (or reuse) the C2BNVAE generator.
+class _RowResult(NamedTuple):
+    """A row that ran: what ``_write_row`` needs to write its files."""
+    report: EvalReport
+    synthetic_per_class: list[int] | None  # None for the original data
+    balanced: EncodedDataset | None  # kept only when the config saves it
 
-    Any failure ends it quietly with exit code 1, and the row retrains in
-    the parent, which reports the failure. SIGTERM raises here, so that an
-    artifact write it interrupts removes its temporary file. The kernel
-    sends that SIGTERM when the parent ends, however it ends (Linux
-    ``PR_SET_PDEATHSIG``), so a killed run leaves no helper training.
+
+def _run_row(name: str, config: ExperimentConfig, train_set: EncodedDataset,
+             test_set: EncodedDataset) -> _RowResult:
+    """Balance the training set as row ``name`` does (or not), fit the tree,
+    predict the test split and evaluate; writes nothing under ``results/``."""
+    entry = ROWS[name]
+    if entry is None:
+        balanced, synthetic = train_set, None
+    else:
+        balanced = entry[0](bal.BalanceRequest(
+            train_set, seed=stage_seed(config.seed, f"balance.{name}")), config)
+        synthetic = (class_counts(balanced) - class_counts(train_set)).tolist()
+    tree = dtree.fit(balanced.features, balanced.labels, config.tree_params())
+    cm = confusion(test_set.labels, dtree.predict(tree, test_set.features),
+                   NUM_CATEGORIES)
+    return _RowResult(EvalReport.from_confusion(name, cm), synthetic,
+                      balanced if synthetic is not None and config.save_balanced else None)
+
+
+def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
+    """Write a row's report and, for a balancing row, its balanced set (when
+    the config saves it) and its sidecar."""
+    results_dir = config.results_dir()
+    manifest = manifest_for(config, "run-all")
+    write_atomic(results_dir / f"{_slug(name)}.json", row.report.to_json(manifest=manifest))
+    if row.synthetic_per_class is None:
+        return
+    if row.balanced is not None:
+        save_dataset(row.balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
+                     fmt="binary", manifest=manifest)
+    sidecar = {
+        "manifest": manifest,
+        "method": name,
+        "seed": stage_seed(config.seed, f"balance.{name}"),
+        "parameters": {field: getattr(config, field) for field in ROWS[name][1]},
+        "synthetic_per_class": row.synthetic_per_class,
+    }
+    write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
+                 json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+
+
+def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
+                    train_set: EncodedDataset, test_set: EncodedDataset,
+                    conn, parent: int) -> None:
+    """The helper process: run ``names`` and send their ``_RowResult``s.
+
+    It sends only when every row succeeded; any failure, a row's own
+    included, ends it quietly with exit code 1, and the parent runs the rows
+    itself and reports the failure. SIGTERM raises here, so that an artifact
+    write it interrupts removes its temporary file. The kernel sends that
+    SIGTERM when the parent ends, however it ends (Linux
+    ``PR_SET_PDEATHSIG``), so a killed run leaves no helper running.
     """
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
@@ -344,7 +396,7 @@ def _train_in_helper(config: ExperimentConfig, train_set: EncodedDataset,
         prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
         if os.getppid() != parent:  # the parent ended before the request
             sys.exit(1)
-        train_generator(config, train_set, use_cbn=True)
+        conn.send({name: _run_row(name, config, train_set, test_set) for name in names})
     except BaseException:
         sys.exit(1)
 
@@ -360,103 +412,103 @@ def _file_id(path: Path) -> tuple[int, int] | None:
 
 
 @contextlib.contextmanager
-def _generator_helper(config: ExperimentConfig, train_set: EncodedDataset):
-    """Train the ``HELPER_ROW`` generator in a forked process while the block runs.
+def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
+                test_set: EncodedDataset):
+    """Run the ``HELPER_ROWS`` in a forked process while the block runs.
 
-    Yields ``join``, which waits for the helper. A helper that failed or was
-    killed after it replaced the checkpoint leaves a checkpoint the row
-    must not reuse, so ``join`` removes it and the row retrains, ending
-    exactly as an inline run would. Leaving the block without ``join``
-    terminates the helper and reaps it. With one usable CPU, or without the
-    row, nothing is forked and ``join`` does nothing.
+    Yields ``(names, join)``: the rows the helper runs, and a function that
+    waits for it and returns their ``_RowResult``s by name, or ``{}`` when the
+    helper failed or was killed. A failed helper that had replaced the
+    C2BNVAE checkpoint leaves one the rerun must not reuse, so ``join``
+    removes it. Leaving the block without ``join`` terminates the helper and
+    reaps it. With one usable CPU, or without those rows, nothing is forked:
+    ``names`` is empty and ``join`` returns ``{}``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if HELPER_ROW not in ROWS or cpus < 2:
-        yield lambda: None
+    names = tuple(name for name in HELPER_ROWS if name in ROWS)
+    if not names or cpus < 2:
+        yield (), lambda: {}
         return
     import multiprocessing  # here, so that importing the CLI does not pay for it
 
     ckpt_path = config.models_dir() / f"{generator_name(use_cbn=True)}.ckpt"
     before = _file_id(ckpt_path)
-    # fork, not spawn: the helper starts from the loaded training set and from
-    # any wrapper put on a module since import, and pickles nothing. OpenBLAS
-    # shuts its threads down around a fork, so the helper inherits none.
-    helper = multiprocessing.get_context("fork").Process(
-        target=_train_in_helper, args=(config, train_set, os.getpid()))
+    # fork, not spawn: the helper starts from the loaded splits and from any
+    # wrapper put on a module since import, and pickles only its results.
+    # OpenBLAS shuts its threads down around a fork, so the helper inherits none.
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    helper = context.Process(target=_rows_in_helper,
+                             args=(names, config, train_set, test_set, writer, os.getpid()))
     helper.start()
+    writer.close()  # so that reading ends once the helper has ended
 
-    def join() -> None:
+    def join() -> dict[str, _RowResult]:
+        try:
+            rows = reader.recv()  # read before joining: a large send blocks until read
+        except (EOFError, OSError):  # the helper ended without sending, or mid-send
+            rows = {}
         helper.join()
-        if helper.exitcode != 0 and _file_id(ckpt_path) != before:
+        if helper.exitcode == 0:
+            return rows
+        if _file_id(ckpt_path) != before:
             ckpt_path.unlink(missing_ok=True)
+        return {}
 
     try:
-        yield join
+        yield names, join
     finally:
+        reader.close()
         if helper.exitcode is None:
             helper.terminate()
             helper.join()
 
 
+def _outcome(name: str, config: ExperimentConfig, train_set: EncodedDataset,
+             test_set: EncodedDataset) -> _RowResult | Exception:
+    try:
+        return _run_row(name, config, train_set, test_set)
+    except Exception as exc:
+        return exc
+
+
 def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     """Balance with every method, train the tree, evaluate, write artifacts.
 
-    A failing row (its balancer, its generator's training or its tree)
-    contributes the exception text instead of a report; the other rows
-    still run. The C2BNVAE generator trains in a forked helper while the
-    rows before it run (``_generator_helper``).
+    A failing row (its balancer, its generator's training, its tree or its
+    files) contributes the exception text instead of a report, and one
+    warning; the other rows still run. With two usable CPUs the
+    ``HELPER_ROWS`` run in a forked helper while the parent runs the others
+    (``_row_helper``); the parent runs them itself when the helper fails.
+    Every file under ``results/`` is written afterwards, in ``ROWS`` order,
+    by the parent alone.
     """
     train_set, test_set = load_encoded(config)
-    with _generator_helper(config, train_set) as join_helper:
-        rows = _run_rows(config, train_set, test_set, join_helper)
-        write_results(rows, config)
-    return rows
-
-
-def _run_rows(config: ExperimentConfig, train_set: EncodedDataset,
-              test_set: EncodedDataset,
-              join_helper: Callable[[], None]) -> list[tuple[str, EvalReport | str]]:
-    results_dir = config.results_dir()
-    results_dir.mkdir(parents=True, exist_ok=True)
+    config.results_dir().mkdir(parents=True, exist_ok=True)
+    with _row_helper(config, train_set, test_set) as (moved, join_helper):
+        outcomes = {name: _outcome(name, config, train_set, test_set)
+                    for name in ROWS if name not in moved}
+        outcomes.update(join_helper())
+    for name in moved:
+        if name not in outcomes:  # the helper failed: the parent runs its rows
+            outcomes[name] = _outcome(name, config, train_set, test_set)
 
     rows: list[tuple[str, EvalReport | str]] = []
-    params = config.tree_params()
-    for name, entry in ROWS.items():
-        if name == HELPER_ROW:
-            join_helper()
-        try:
-            seed = stage_seed(config.seed, f"balance.{name}")
-            balanced = train_set
-            if entry is not None:
-                balance, fields = entry
-                balanced = balance(bal.BalanceRequest(train_set, seed=seed), config)
-            tree = dtree.fit(balanced.features, balanced.labels, params)
-            predictions = dtree.predict(tree, test_set.features)
-            cm = confusion(test_set.labels, predictions, NUM_CATEGORIES)
-            report = EvalReport.from_confusion(name, cm)
-            rows.append((name, report))
-            path = results_dir / f"{_slug(name)}.json"
-            write_atomic(path, report.to_json(manifest=manifest_for(config, "run-all")))
-            if entry is None:
-                continue
-            if config.save_balanced:
-                save_dataset(balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
-                             fmt="binary", manifest=manifest_for(config, "run-all"))
-            sidecar = {
-                "manifest": manifest_for(config, "run-all"),
-                "method": name,
-                "seed": seed,
-                "parameters": {field: getattr(config, field) for field in fields},
-                "synthetic_per_class": (class_counts(balanced)
-                                        - class_counts(train_set)).tolist(),
-            }
-            write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
-                         json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-        except Exception as exc:
+    for name in ROWS:
+        outcome = outcomes[name]
+        if isinstance(outcome, _RowResult):
+            try:
+                _write_row(name, outcome, config)
+                outcome = outcome.report
+            except Exception as exc:
+                outcome = exc
+        if isinstance(outcome, Exception):
             # the traceback only at -v, where the log level is INFO
-            logger.warning("algorithm %s failed: %s", name, exc,
-                           exc_info=logger.isEnabledFor(logging.INFO))
-            rows.append((name, str(exc)))
+            logger.warning("algorithm %s failed: %s", name, outcome,
+                           exc_info=outcome if logger.isEnabledFor(logging.INFO) else None)
+            outcome = str(outcome)
+        rows.append((name, outcome))
+    write_results(rows, config)
     return rows
 
 

@@ -148,6 +148,57 @@ class TestSmote:
             smote(BalanceRequest(imbalanced_blobs(), seed=0), k=0)
 
 
+def knn_oracle(queries, points, k, exclude_self=False):
+    """``_knn_indices`` as it was: ``_sq_dists`` of each 128-query chunk,
+    norms and temporaries recomputed per chunk."""
+    n = len(queries)
+    k = min(k, len(points) - (1 if exclude_self else 0))
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, 128):
+        stop = min(n, start + 128)
+        d2 = balancers._sq_dists(queries[start:stop], points)
+        if exclude_self:
+            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        if k < d2.shape[1]:
+            part = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
+        else:
+            part = np.broadcast_to(np.arange(d2.shape[1]), d2.shape).copy()
+        sub = np.take_along_axis(d2, part, axis=1)
+        order = np.lexsort((part, sub), axis=1)
+        out[start:stop] = np.take_along_axis(part, order, axis=1)
+    return out
+
+
+class TestKnnIndices:
+    @staticmethod
+    def encoded_like(n, seed):
+        # continuous columns, one-hot blocks and exact duplicates, as the
+        # encoded splits have, so that distance ties occur
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, 30))
+        onehot = np.eye(12)[rng.integers(0, 12, size=n)]
+        rows = np.hstack([dense, onehot, np.zeros((n, 5))])
+        rows[rng.integers(0, n, size=n // 5)] = rows[rng.integers(0, n, size=n // 5)]
+        return rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["all points", "own class"])
+    def test_same_tables_as_the_per_chunk_formula(self, seed, shape):
+        points = self.encoded_like(333, seed=seed)  # three chunks, the last short
+        if shape == "all points":
+            queries, k, exclude_self = points[::2] + 0.0, 11, False
+        else:
+            queries, k, exclude_self = points, 5, True
+        got = balancers._knn_indices(queries, points, k, exclude_self=exclude_self)
+        assert np.array_equal(got, knn_oracle(queries, points, k, exclude_self))
+
+    def test_k_past_the_point_count_lists_every_point(self):
+        points = self.encoded_like(9, seed=2)
+        got = balancers._knn_indices(points, points, 20, exclude_self=True)
+        assert got.shape == (9, 8)
+        assert np.array_equal(got, knn_oracle(points, points, 20, exclude_self=True))
+
+
 class TestBorderline:
     @staticmethod
     def configuration():

@@ -17,9 +17,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # preprocess + run-all through the CLI on a small corpus, with the tracer
-# installed the way bench/pipeline.py installs it
+# installed the way bench/pipeline.py installs it, and two usable CPUs
+# whatever the host has, so that the forked helper runs its rows (and
+# records no span) on every host
 SCRIPT = """
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +33,7 @@ import corpus
 import spans
 from c2bnvae import cli
 
+os.sched_getaffinity = lambda pid: {0, 1}
 tracer = spans.Tracer()
 tracer.install()
 with tempfile.TemporaryDirectory() as tmp:
@@ -46,7 +50,8 @@ with tempfile.TemporaryDirectory() as tmp:
     codes = [tracer.span("cli.preprocess", cli.main)(["preprocess", "--config", str(config)]),
              tracer.span("cli.run_all", cli.main)(["run-all", "--config", str(config)])]
 metrics = {name: value for name, (value, _) in tracer.layer_metrics().items()}
-print(json.dumps({"codes": codes, "problems": tracer.check(), "metrics": metrics}))
+print(json.dumps({"codes": codes, "problems": tracer.check(), "metrics": metrics,
+                  "helper": "multiprocessing" in sys.modules}))
 """
 
 # the benchmark computes this one from traced and untraced wall times
@@ -68,6 +73,7 @@ def test_traced_pipeline_yields_every_declared_metric():
     # infinities, so this one is too
     report = json.loads(done.stdout.strip().splitlines()[-1], parse_constant=reject)
     assert report["codes"] == [0, 0]
+    assert report["helper"]  # only the helper imports multiprocessing
     assert report["problems"] == []
     metrics = report["metrics"]
     declared = [m["name"] for m in

@@ -1,12 +1,15 @@
-"""``run_all`` trains the C2BNVAE generator in a forked helper process while
-the parent runs the rows before it. Every outcome must be an inline run's:
-the same bytes under ``encoded/``, ``models/`` and ``results/``, the same
-row texts and exit code when training fails, an inline retrain when the
-helper fails or is killed, and no process left behind.
+"""With two usable CPUs, ``run_all`` runs the Original and C2BNVAE rows in a
+forked helper process while the parent runs the other six, and the parent
+alone writes ``results/``. Every outcome must be an inline run's: the same
+bytes under ``encoded/``, ``models/`` and ``results/`` under every output
+option, the same row texts, warnings and exit code when a row fails, an
+inline rerun of both helper rows when the helper fails or is killed, and no
+process left behind.
 
 The in-process tests choose the mode by the CPU count ``run_all`` sees:
 one usable CPU runs inline, two fork the helper. A monkeypatch made before
-``run_all`` holds in the helper too, since it is forked.
+``run_all`` holds in the helper too, since it is forked; what it records
+there stays in the helper.
 """
 
 import json
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from c2bnvae import experiment, model, optim
+from c2bnvae import dtree, experiment, model, optim
 from c2bnvae.atomic import atomic_write
 from c2bnvae.cli import main
 from c2bnvae.experiment import ExperimentConfig, preprocess, run_all
@@ -43,10 +46,10 @@ def corpus_files(tmp_path_factory):
     return corpus.write_corpus(tmp_path_factory.mktemp("corpus"))
 
 
-def make_config(corpus_files, out_dir) -> ExperimentConfig:
+def make_config(corpus_files, out_dir, **options) -> ExperimentConfig:
     train, test = corpus_files
     return ExperimentConfig(train_path=str(train), test_path=str(test),
-                            out_dir=str(out_dir), seed=5, **FAST)
+                            out_dir=str(out_dir), seed=5, **FAST, **options)
 
 
 def artifacts(out_dir) -> dict[str, bytes]:
@@ -73,17 +76,89 @@ def inline(corpus_files, tmp_path_factory):
     return rows, artifacts(config.out_dir)
 
 
-def test_helper_run_writes_the_inline_bytes(corpus_files, tmp_path, monkeypatch, inline):
-    config = make_config(corpus_files, tmp_path)
+def count_starts(monkeypatch) -> list:
+    """The processes started from here on, in a list."""
     started = []
     real_start = multiprocessing.process.BaseProcess.start
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                         lambda self: (started.append(self), real_start(self))[1])
+    return started
+
+
+def count_parent_fits(monkeypatch) -> list:
+    """The trees the parent fits from here on (the helper's own count stays
+    in the helper), in a list."""
+    fits = []
+    real_fit = dtree.fit
+    monkeypatch.setattr(dtree, "fit",
+                        lambda *args: (fits.append(1), real_fit(*args))[1])
+    return fits
+
+
+def test_helper_run_writes_the_inline_bytes(corpus_files, tmp_path, monkeypatch, inline):
+    config = make_config(corpus_files, tmp_path)
+    started = count_starts(monkeypatch)
     rows = run(config, 2, monkeypatch)
     assert len(started) == 1  # the helper did run
     assert rows == inline[0]
     assert artifacts(tmp_path) == inline[1]
     assert len([name for name in inline[1] if name.startswith("models/")]) == 4
+
+
+EVERY_OUTPUT = dict(save_balanced=True, emit_svg=True)
+
+
+@pytest.fixture(scope="module", params=["csv", "binary"])
+def inline_every_output(request, corpus_files, tmp_path_factory):
+    """A clean inline run that writes every optional output, in each dataset
+    format: the format, its rows and its artifacts."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        config = make_config(corpus_files, tmp_path_factory.mktemp("inline"),
+                             dataset_format=request.param, **EVERY_OUTPUT)
+        rows = run(config, 1, monkeypatch)
+    return request.param, rows, artifacts(config.out_dir)
+
+
+def test_helper_run_writes_the_inline_bytes_under_every_output_option(
+        corpus_files, tmp_path, monkeypatch, inline_every_output):
+    dataset_format, rows, expected = inline_every_output
+    config = make_config(corpus_files, tmp_path, dataset_format=dataset_format,
+                         **EVERY_OUTPUT)
+    started = count_starts(monkeypatch)
+    assert run(config, 2, monkeypatch) == rows
+    assert len(started) == 1
+    assert artifacts(tmp_path) == expected
+    # the helper's C2BNVAE row sent its balanced set back to be saved
+    assert {"results/balanced_c2bnvae.c2ds", "results/chart.svg",
+            f"encoded/train.{'c2ds' if dataset_format == 'binary' else 'csv'}"} <= set(expected)
+
+
+def test_helper_writes_nothing_under_results(corpus_files, tmp_path, monkeypatch,
+                                             inline_every_output):
+    dataset_format, rows, expected = inline_every_output
+    config = make_config(corpus_files, tmp_path, dataset_format=dataset_format,
+                         **EVERY_OUTPUT)
+    results = config.results_dir()
+    real_replace = os.replace
+
+    def replace(src, dst):  # the last step of every atomic write
+        if in_helper() and Path(dst).parent == results:
+            raise OSError(f"the helper wrote {dst}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    fits = count_parent_fits(monkeypatch)
+    saved = []
+    real_save = experiment.save_checkpoint
+    monkeypatch.setattr(experiment, "save_checkpoint",
+                        lambda ckpt, path, manifest: (saved.append(path.name),
+                                                      real_save(ckpt, path, manifest)))
+    assert run(config, 2, monkeypatch) == rows
+    assert artifacts(tmp_path) == expected
+    # nothing ran twice: the parent fitted the six other rows' trees and
+    # trained only the CVAE generator, so the helper's rows were not rerun
+    assert len(fits) == len(experiment.ROWS) - len(experiment.HELPER_ROWS) == 6
+    assert saved == ["cvae.ckpt"]
 
 
 def test_training_that_raises_fails_the_row_as_inline(corpus_files, tmp_path, monkeypatch):
@@ -123,6 +198,78 @@ def test_unusable_models_dir_fails_the_generator_rows_as_inline(corpus_files, tm
         outcomes.append([rows[name].replace(config.out_dir, "OUT")
                          for name in ("CVAE", "C2BNVAE")])
     assert outcomes[0] == outcomes[1] == ["[Errno 17] File exists: 'OUT/models'"] * 2
+
+
+# preprocess + run-all through the CLI with argv[2] usable CPUs, with a tree
+# fit that raises for the original data; prints the exit codes and the
+# processes left running
+FAILING_ORIGINAL = """
+import json
+import multiprocessing
+import os
+import sys
+
+from c2bnvae import dtree
+from c2bnvae.cli import main
+from c2bnvae.experiment import ExperimentConfig, load_encoded
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+codes = [main(["preprocess", "--config", sys.argv[1]])]
+original = len(load_encoded(ExperimentConfig.from_json_file(sys.argv[1]))[0])
+real_fit = dtree.fit
+
+
+def fit(features, labels, params):
+    if len(labels) == original:  # every balancing row adds rows
+        raise ValueError("tree broke")
+    return real_fit(features, labels, params)
+
+
+dtree.fit = fit
+codes.append(main(["run-all", "--config", sys.argv[1]]))
+print(json.dumps({"codes": codes, "left": len(multiprocessing.active_children())}))
+"""
+
+
+def test_tree_that_raises_fails_the_original_row_as_inline(corpus_files, tmp_path):
+    outcomes = []
+    for cpus in (1, 2):
+        config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
+        path = tmp_path / f"config{cpus}.json"
+        path.write_text(json.dumps(config.to_dict()))
+        done = subprocess.run([sys.executable, "-c", FAILING_ORIGINAL, str(path), str(cpus)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == {"codes": [0, 0],
+                                                                    "left": 0}
+        outcomes.append((done.stderr, artifacts(config.out_dir)))
+    assert outcomes[0] == outcomes[1]
+    # one warning, from the parent, whose rerun of the row failed as inline
+    assert outcomes[1][0] == ("WARNING c2bnvae.experiment: algorithm Original "
+                              "imbalanced Data failed: tree broke\n")
+    assert "results/original_imbalanced_data.json" not in outcomes[1][1]
+
+
+def test_row_whose_report_cannot_be_written_fails_once(corpus_files, tmp_path,
+                                                      monkeypatch):
+    real_write = experiment.write_atomic
+
+    def write_atomic(path, data):
+        if Path(path).name in ("smote.json", "c2bnvae.json"):
+            raise OSError("disk full")
+        real_write(path, data)
+
+    monkeypatch.setattr(experiment, "write_atomic", write_atomic)
+    outcomes = []
+    for cpus in (1, 2):
+        config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
+        rows = run(config, cpus, monkeypatch)
+        outcomes.append((rows, artifacts(config.out_dir)))
+    assert outcomes[0] == outcomes[1]
+    rows = outcomes[1][0]
+    assert [name for name, _ in rows] == list(experiment.ROWS)  # each row once
+    assert dict(rows)["SMOTE"] == dict(rows)["C2BNVAE"] == "disk full"
 
 
 def test_failed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, capfd, inline):
@@ -174,9 +321,14 @@ def test_killed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, inli
         real_step(self)
 
     monkeypatch.setattr(optim.Adam, "step", step)
+    fits = count_parent_fits(monkeypatch)
     config = make_config(corpus_files, tmp_path)
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(tmp_path) == inline[1]
+    # killed in its second row, after the first had run: the parent reran
+    # both, so it fitted every row's tree
+    assert len(fits) == len(experiment.ROWS)
+    assert multiprocessing.active_children() == []
 
 
 def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
