@@ -9,19 +9,22 @@ classes are independent streams.
 Distances are plain Euclidean in the encoded [0,1] space; one-hot blocks
 are not reweighted, which keeps every method comparable on the same
 geometry.
+
+The balancers trust their keyword settings (``k``, ``m``, ``n_clusters``,
+``imbalance_threshold``, ``penalty``): ``ExperimentConfig`` checks them once,
+when a config loads.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
-from .errors import ConvergenceError, DataError, LabelError, ShapeError
+from .errors import ConvergenceError, DataError, LabelError
 from .nslkdd import EncodedDataset, class_counts
 
 Array = np.ndarray
@@ -33,24 +36,6 @@ logger = logging.getLogger(__name__)
 class BalanceRequest:
     dataset: EncodedDataset
     seed: int = 0
-
-
-def check_settings(k: int = 5, m: int = 10, n_clusters: int = 8,
-                   imbalance_threshold: float = 0.5, penalty: float = 1.0) -> None:
-    """Raise ShapeError for a balancer setting no balancer can run with.
-
-    Each balancer checks the settings it takes; ``ExperimentConfig`` checks
-    every one when a config loads, so a bad setting stops the run before
-    any row does. A NaN threshold or penalty would not fail: no cluster or
-    margin compares true, and the balancer quietly falls back to SMOTE.
-    """
-    for name, value in (("k", k), ("m", m), ("n_clusters", n_clusters)):
-        if value < 1:
-            raise ShapeError(f"{name} must be >= 1, got {value}")
-    if math.isnan(imbalance_threshold):
-        raise ShapeError("imbalance_threshold must be a number, got nan")
-    if not penalty > 0:  # also rejects NaN
-        raise ShapeError(f"penalty must be positive, got {penalty}")
 
 
 def _class_rng(seed: int, label: int) -> np.random.Generator:
@@ -299,7 +284,6 @@ def _smote_from_seeds(rows: Array, is_seed: Array, deficit: int, k: int,
 def smote(request: BalanceRequest, k: int = 5) -> EncodedDataset:
     """Classic interpolation between a class row and one of its k nearest
     same-class neighbors."""
-    check_settings(k=k)
     return _balance(request,
                     lambda label, rows, deficit, rng: _smote_one_class(rows, deficit, k, rng))
 
@@ -308,7 +292,6 @@ def borderline_smote(request: BalanceRequest, k: int = 5, m: int = 10) -> Encode
     """Borderline-1: seeds restricted to the DANGER set, i.e. minority rows
     whose m-neighborhood over all classes holds >= m/2 but < m other-class
     rows; interpolation stays toward same-class neighbors."""
-    check_settings(k=k, m=m)
     dataset = request.dataset
 
     def fill(label, rows, deficit, rng):
@@ -331,7 +314,6 @@ def kmeans_smote(request: BalanceRequest, k: int = 5, n_clusters: int = 8,
     """SMOTE restricted to k-means clusters where the class's fraction exceeds
     the threshold; the deficit is apportioned proportionally to each eligible
     cluster's minority density (members / mean pairwise distance)."""
-    check_settings(k=k, n_clusters=n_clusters, imbalance_threshold=imbalance_threshold)
     dataset = request.dataset
 
     def fill(label, rows, deficit, rng):
@@ -388,7 +370,6 @@ def svm_smote(request: BalanceRequest, k: int = 5, penalty: float = 1.0) -> Enco
     solved exactly by ``_linear_svm``; it draws no random numbers, so the
     class rng feeds only the SMOTE interpolation.
     """
-    check_settings(k=k, penalty=penalty)
     dataset = request.dataset
 
     def fill(label, rows, deficit, rng):

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -36,7 +37,7 @@ from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costing import count_params_flops
 from .errors import DataError, ShapeError
-from .metrics import EvalReport, confusion, results_table
+from .metrics import TABLE_COLUMNS, EvalReport, confusion, results_table
 from .model import Checkpoint, ModelConfig, TraceRow
 from .nslkdd import (CATEGORY_NAMES, DATASET_FORMATS, NUM_CATEGORIES, EncodedDataset,
                      attack_labels, class_counts, default_taxonomy, fit_schema,
@@ -118,15 +119,19 @@ class ExperimentConfig:
             self.tree_params()
         except ShapeError as exc:
             raise DataError(f"bad experiment config: {exc}") from None
-        # the balancers' settings, one at a time, so the message names the field
-        for field, setting in (("smote_k", "k"), ("borderline_m", "m"),
-                               ("kmeans_clusters", "n_clusters"),
-                               ("kmeans_threshold", "imbalance_threshold"),
-                               ("svm_penalty", "penalty")):
-            try:
-                bal.check_settings(**{setting: getattr(self, field)})
-            except ShapeError as exc:
-                raise DataError(f"bad experiment config: {field}: {exc}") from None
+        # the balancers trust their settings, so they are checked here alone;
+        # a NaN threshold or penalty would not fail a row but quietly fall
+        # back to plain SMOTE, since no cluster or margin compares true
+        for field, value in (("smote_k", self.smote_k), ("borderline_m", self.borderline_m),
+                             ("kmeans_clusters", self.kmeans_clusters)):
+            if value < 1:
+                raise DataError(f"bad experiment config: {field} must be >= 1, got {value}")
+        if math.isnan(self.kmeans_threshold):
+            raise DataError("bad experiment config: kmeans_threshold must be a number, "
+                            "got nan")
+        if not self.svm_penalty > 0:  # also rejects NaN
+            raise DataError(f"bad experiment config: svm_penalty must be positive, "
+                            f"got {self.svm_penalty}")
 
     # paths and storage options do not identify the experiment
     _NON_SEMANTIC = ("train_path", "test_path", "out_dir", "taxonomy_path",
@@ -288,7 +293,8 @@ def generator_name(use_cbn: bool) -> str:
 
 def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
                     use_cbn: bool) -> tuple[Checkpoint, list[TraceRow], Path]:
-    """Train (or reuse) one generative model; writes checkpoint and trace."""
+    """Train (or reuse) one generative model; writes its trace, then its
+    checkpoint, so a checkpoint on disk always has its full trace beside it."""
     name = generator_name(use_cbn)
     model_config = config.model_config(train_set.schema.feature_dim, use_cbn,
                                        seed=stage_seed(config.seed, f"train.{name}"))
@@ -306,9 +312,9 @@ def train_generator(config: ExperimentConfig, train_set: EncodedDataset,
         except DataError:
             pass  # unreadable, stale or ill-shaped: retrain below
     ckpt, trace = model_mod.train(train_set, model_config)
-    save_checkpoint(ckpt, ckpt_path, manifest=manifest_for(config, f"train.{name}"))
-    write_trace_csv(trace, models / f"{name}_trace.csv",
-                    manifest_for(config, f"train.{name}"))
+    manifest = manifest_for(config, f"train.{name}")
+    write_trace_csv(trace, models / f"{name}_trace.csv", manifest)
+    save_checkpoint(ckpt, ckpt_path, manifest=manifest)
     return ckpt, trace, ckpt_path
 
 
@@ -401,16 +407,6 @@ def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
         sys.exit(1)
 
 
-def _file_id(path: Path) -> tuple[int, int] | None:
-    """The device and inode of ``path``, or None where there is none to
-    read; an atomic write gives the path a new inode."""
-    try:
-        stat = path.stat()
-    except OSError:  # no such file, or models/ is not a directory
-        return None
-    return stat.st_dev, stat.st_ino
-
-
 @contextlib.contextmanager
 def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
                 test_set: EncodedDataset):
@@ -418,11 +414,12 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
 
     Yields ``(names, join)``: the rows the helper runs, and a function that
     waits for it and returns their ``_RowResult``s by name, or ``{}`` when the
-    helper failed or was killed. A failed helper that had replaced the
-    C2BNVAE checkpoint leaves one the rerun must not reuse, so ``join``
-    removes it. Leaving the block without ``join`` terminates the helper and
-    reaps it. With one usable CPU, or without those rows, nothing is forked:
-    ``names`` is empty and ``join`` returns ``{}``.
+    helper failed or was killed. A checkpoint a failed helper left is
+    complete, since ``train_generator`` writes it after its trace, so the
+    parent's rerun may reuse it. Leaving the block without ``join``
+    terminates the helper and reaps it. With one usable CPU, or without
+    those rows, nothing is forked: ``names`` is empty and ``join`` returns
+    ``{}``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     names = tuple(name for name in HELPER_ROWS if name in ROWS)
@@ -431,8 +428,6 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
         return
     import multiprocessing  # here, so that importing the CLI does not pay for it
 
-    ckpt_path = config.models_dir() / f"{generator_name(use_cbn=True)}.ckpt"
-    before = _file_id(ckpt_path)
     # fork, not spawn: the helper starts from the loaded splits and from any
     # wrapper put on a module since import, and pickles only its results.
     # OpenBLAS shuts its threads down around a fork, so the helper inherits none.
@@ -449,11 +444,7 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
         except (EOFError, OSError):  # the helper ended without sending, or mid-send
             rows = {}
         helper.join()
-        if helper.exitcode == 0:
-            return rows
-        if _file_id(ckpt_path) != before:
-            ckpt_path.unlink(missing_ok=True)
-        return {}
+        return rows if helper.exitcode == 0 else {}
 
     try:
         yield names, join
@@ -479,9 +470,9 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     files) contributes the exception text instead of a report, and one
     warning; the other rows still run. With two usable CPUs the
     ``HELPER_ROWS`` run in a forked helper while the parent runs the others
-    (``_row_helper``); the parent runs them itself when the helper fails.
-    Every file under ``results/`` is written afterwards, in ``ROWS`` order,
-    by the parent alone.
+    (``_row_helper``); the parent runs them itself when the helper fails,
+    reusing a checkpoint the helper finished. Every file under ``results/``
+    is written afterwards, in ``ROWS`` order, by the parent alone.
     """
     train_set, test_set = load_encoded(config)
     config.results_dir().mkdir(parents=True, exist_ok=True)
@@ -527,8 +518,7 @@ def write_results(rows: list[tuple[str, EvalReport | str]],
     writer.writerow(["algorithm", "metric", "value"])
     for name, outcome in rows:
         if isinstance(outcome, EvalReport):
-            for metric, value in zip(("Acc", "Pre_w", "Recall_w", "F1_w"),
-                                     outcome.headline()):
+            for metric, value in zip(TABLE_COLUMNS, outcome.headline()):
                 writer.writerow([name, metric, repr(value)])
     write_atomic(results_dir / "chart_data.csv", buf.getvalue())
 
@@ -541,7 +531,6 @@ def render_svg_chart(rows: list[tuple[str, EvalReport | str]],
     """Static grouped bar chart of the four headline metrics per algorithm."""
     ok = [(name, r) for name, r in rows if isinstance(r, EvalReport)]
     colors = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f")
-    metrics = ("Acc", "Pre_w", "Recall_w", "F1_w")
     left, bottom, top = 60, 330, 30
     group_w = 88
     width = left + group_w * len(ok) + 140
@@ -562,7 +551,7 @@ def render_svg_chart(rows: list[tuple[str, EvalReport | str]],
         parts.append(f'<text x="{left + group_w * i}" y="{bottom + 14}" '
                      f'transform="rotate(20 {left + group_w * i} {bottom + 14})">'
                      f'{name}</text>')
-    for j, metric in enumerate(metrics):
+    for j, metric in enumerate(TABLE_COLUMNS):
         y = top + 16 * j
         parts.append(f'<rect x="{width - 120}" y="{y}" width="12" height="12" '
                      f'fill="{colors[j]}"/>')

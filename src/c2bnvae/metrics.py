@@ -125,10 +125,8 @@ class EvalReport:
 
     def to_json(self, manifest: dict | None = None) -> str:
         payload = {"algorithm": self.algorithm,
-                   "metrics": {"Acc": round_half_up(self.acc),
-                               "Pre_w": round_half_up(self.pre_w),
-                               "Recall_w": round_half_up(self.recall_w),
-                               "F1_w": round_half_up(self.f1_w)},
+                   "metrics": {metric: round_half_up(value)
+                               for metric, value in zip(TABLE_COLUMNS, self.headline())},
                    "per_class": {"precision": self.per_class_precision,
                                  "recall": self.per_class_recall,
                                  "f1": self.per_class_f1},

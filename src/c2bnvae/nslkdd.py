@@ -71,16 +71,10 @@ NUM_CATEGORIES = len(CATEGORY_NAMES)
 
 @dataclass(frozen=True)
 class ClassTaxonomy:
-    category_names: tuple[str, ...]
-    mapping: dict[str, int]  # attack name -> category index
+    mapping: dict[str, int]  # attack name -> index into CATEGORY_NAMES
 
     def __post_init__(self):
-        if len(self.category_names) != NUM_CATEGORIES:
-            raise DataError(f"taxonomy must define exactly {NUM_CATEGORIES} categories")
-        bad = [c for c in self.mapping.values() if not 0 <= c < len(self.category_names)]
-        if bad:
-            raise DataError(f"taxonomy maps to unknown category indices {sorted(set(bad))}")
-        if self.mapping.get("normal") != self.category_names.index("Normal"):
+        if self.mapping.get("normal") != CATEGORY_NAMES.index("Normal"):
             raise DataError('taxonomy must map "normal" to the Normal category')
 
 
@@ -117,7 +111,7 @@ def load_taxonomy(source) -> ClassTaxonomy:
             mapping[name] = index_of[category]
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
         raise DataError(f"taxonomy file {where} line {reader.line_num}: {exc}") from None
-    return ClassTaxonomy(category_names=CATEGORY_NAMES, mapping=mapping)
+    return ClassTaxonomy(mapping=mapping)
 
 
 def default_taxonomy() -> ClassTaxonomy:

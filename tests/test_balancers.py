@@ -5,7 +5,7 @@ from c2bnvae import balancers
 from c2bnvae.balancers import (BalanceRequest, borderline_smote,
                                generative_balance, kmeans_smote,
                                random_oversample, smote, svm_smote)
-from c2bnvae.errors import ConvergenceError, DataError, ShapeError
+from c2bnvae.errors import ConvergenceError, DataError
 from c2bnvae.model import ModelConfig, generate, train
 from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
 
@@ -142,10 +142,6 @@ class TestSmote:
         data = toy_dataset(np.random.default_rng(0).random((5, 2)), [0, 0, 0, 0, 1])
         with pytest.raises(DataError):
             smote(BalanceRequest(data, seed=0), k=1)
-
-    def test_k_validated(self):
-        with pytest.raises(ShapeError):
-            smote(BalanceRequest(imbalanced_blobs(), seed=0), k=0)
 
 
 def knn_oracle(queries, points, k, exclude_self=False):

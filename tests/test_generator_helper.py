@@ -289,8 +289,8 @@ def test_failed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, capf
 
 def test_helper_failing_after_its_checkpoint_retrains_inline(corpus_files, tmp_path,
                                                              monkeypatch, inline):
-    # the helper replaces the checkpoint and then fails: the row must not
-    # reuse that checkpoint, or it would pass where an inline run failed
+    # the helper trains and then fails writing the trace, which comes before
+    # the checkpoint: it leaves no checkpoint, so the parent retrains
     real_write = experiment.write_trace_csv
 
     def write_trace_csv(trace, path, manifest):
@@ -308,6 +308,51 @@ def test_helper_failing_after_its_checkpoint_retrains_inline(corpus_files, tmp_p
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(tmp_path) == inline[1]
     assert [path.name for path in saved] == ["cvae.ckpt", "c2bnvae.ckpt"]  # retrained
+
+
+def test_helper_failing_after_training_leaves_a_checkpoint_the_rerun_reuses(
+        corpus_files, tmp_path, monkeypatch, inline):
+    # the helper trains C2BNVAE, writes its trace and checkpoint, and then
+    # its second tree fit (the C2BNVAE row's; the first is the original
+    # data's) fails: the parent reruns both rows and reuses that checkpoint
+    real_fit = dtree.fit
+    helper_fits = []
+
+    def fit(*args):
+        if in_helper():
+            helper_fits.append(1)
+            if len(helper_fits) == 2:
+                raise MemoryError
+        return real_fit(*args)
+
+    monkeypatch.setattr(dtree, "fit", fit)
+    saved = []
+    real_save = experiment.save_checkpoint
+    monkeypatch.setattr(experiment, "save_checkpoint",
+                        lambda ckpt, path, manifest: (saved.append(path.name),
+                                                      real_save(ckpt, path, manifest)))
+    config = make_config(corpus_files, tmp_path)
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(tmp_path) == inline[1]
+    assert saved == ["cvae.ckpt"]  # the parent trained CVAE alone
+
+
+def test_trace_that_cannot_be_written_leaves_no_checkpoint(corpus_files, tmp_path,
+                                                           monkeypatch):
+    real_write = experiment.write_trace_csv
+
+    def write_trace_csv(trace, path, manifest):
+        if Path(path).name == "c2bnvae_trace.csv":
+            raise OSError("disk full")
+        real_write(trace, path, manifest)
+
+    monkeypatch.setattr(experiment, "write_trace_csv", write_trace_csv)
+    config = make_config(corpus_files, tmp_path)
+    rows = dict(run(config, 1, monkeypatch))
+    assert rows["C2BNVAE"] == "disk full"
+    # no C2BNVAE checkpoint that a later run would reuse without its trace
+    assert sorted(path.name for path in config.models_dir().iterdir()) == [
+        "cvae.ckpt", "cvae_trace.csv"]
 
 
 def test_killed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, inline):
@@ -367,8 +412,9 @@ def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monk
         run(make_config(corpus_files, tmp_path), 2, monkeypatch)
     assert time.monotonic() - started < 60  # terminated, not waited for
     assert multiprocessing.active_children() == []
-    # the helper removed its temporary file, and said nothing
-    assert sorted(path.name for path in models.iterdir()) == []
+    # the helper left its finished trace, removed the checkpoint's temporary
+    # file, and said nothing
+    assert sorted(path.name for path in models.iterdir()) == ["c2bnvae_trace.csv"]
     assert capfd.readouterr().err == ""
 
 

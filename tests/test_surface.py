@@ -1,14 +1,16 @@
 """Every public function, class, method and property of the package has a
 caller in the package or the benchmark, or a reason to exist on the list
-below.
+below; every private function, class, constant and method has a caller,
+with no exceptions.
 
 A definition that only tests name is code that the pipeline never runs: a
-wrapper kept alive by its own test. Names are matched as identifiers, so a
-method counts as used when any attribute of that name is read anywhere in
-``src/`` or ``bench/``; a string constant equal to the name counts too (the
-benchmark's tracer wraps attributes by name). Comments and docstrings do
-not count. The package's ``__init__`` imports its public names, so those
-count as used.
+wrapper kept alive by its own test, or a helper that outlived its last
+caller. Names are matched as identifiers, so a method counts as used when
+any attribute of that name is read anywhere in ``src/`` or ``bench/``; a
+string constant equal to the name counts too (the benchmark's tracer wraps
+attributes by name). Assigning a name does not count, and neither do
+comments and docstrings. The package's ``__init__`` imports its public
+names, so those count as used.
 """
 
 import ast
@@ -57,13 +59,38 @@ def public_definitions() -> dict[str, str]:
     return found
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions() -> dict[str, str]:
+    """The same map for each private top-level function, class and
+    constant, and each private method of any class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            found.update({f"{path.stem}.{name}": name for name in names if private(name)})
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and private(member.name):
+                        found[f"{path.stem}.{node.name}.{member.name}"] = member.name
+    return found
+
+
 def names_used() -> set[str]:
     """Every identifier that code in ``src/`` or ``bench/`` reads, imports
     or spells as a string constant."""
     used = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -81,6 +108,13 @@ def test_every_public_definition_has_a_caller():
                     if name not in used and qualified not in ALLOWED)
     assert unused == [], ("named only at their definition (delete them, or give "
                           f"the reason in ALLOWED): {unused}")
+
+
+def test_every_private_definition_has_a_caller():
+    used = names_used()
+    unused = sorted(qualified for qualified, name in private_definitions().items()
+                    if name not in used)
+    assert unused == [], f"named only at their definition (delete them): {unused}"
 
 
 def test_allowed_entries_are_defined_and_still_uncalled():
