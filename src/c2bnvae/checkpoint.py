@@ -6,7 +6,9 @@ loaded checkpoint is byte-identical.
 
 Format version 2 dropped the layer constants ``leaky_slope``, ``norm_eps``
 and ``norm_momentum`` from the header's config. A version-1 file is refused
-with a ``CheckpointError``, so ``experiment.train_generator`` retrains it.
+with a ``CheckpointError``, so ``experiment.train_generator`` retrains it;
+so is a file with a NaN or infinite value in any block, which training
+never saves and a reused generator would put into every row it generates.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def load_checkpoint(source) -> Checkpoint:
         if len(raw) // 8 != math.prod(shape):
             raise CheckpointError(f"block {name} holds {len(raw) // 8} float64 values, "
                                   f"expected shape {shape}")
-        arrays.append((name, np.frombuffer(raw, dtype="<f8").astype(np.float64)
-                       .reshape(shape)))
+        array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(array)):
+            raise CheckpointError(f"block {name} holds a non-finite value")
+        arrays.append((name, array))
     return Checkpoint(config=config, params=dict(arrays[:len(param_entries)]),
                       stats=dict(arrays[len(param_entries):]),
                       schema_fingerprint=fingerprint)

@@ -18,7 +18,8 @@ class CheckpointError(DataError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss; message names epoch and batch."""
+    """Training produced a non-finite loss or final state; the message names
+    the epoch and batch of the step."""
 
 
 class ConvergenceError(RuntimeError):

@@ -20,8 +20,10 @@ import json
 import logging
 import math
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,12 +328,20 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "_")
 
 
-# the rows a forked helper process runs while the parent runs the others.
-# They are the only rows whose every call another row also makes in the
-# parent (the CVAE row trains, generates and calls generative_balance, and
-# every row fits and predicts a tree), so a tracer that records only in the
-# parent still sees every call; an oversampler row here would hide its span.
+# the rows a forked helper process runs end to end while the parent runs
+# the others; after them the helper runs the HANDED_OFF_ROW's evaluation
+# stage (tree, predict, report) on the balanced set the parent hands it.
+# The tracer rule: a tracer records only in the parent, so work may leave
+# the parent only if the parent still makes every call that work makes.
+# These two rows keep it (the CVAE row trains, generates and calls
+# generative_balance in the parent, and every row fits and predicts a
+# tree); an oversampler row here would hide its span.
 HELPER_ROWS = ("Original imbalanced Data", "C2BNVAE")
+# the row whose balance stage the parent runs first, before the oversampler
+# rows, and whose evaluation stage it hands to the helper through a file in
+# a private temporary directory. Its tree keeps the tracer rule because the
+# parent still fits and predicts the five oversampler rows' trees.
+HANDED_OFF_ROW = "CVAE"
 
 
 class _RowResult(NamedTuple):
@@ -341,17 +351,23 @@ class _RowResult(NamedTuple):
     balanced: EncodedDataset | None  # kept only when the config saves it
 
 
-def _run_row(name: str, config: ExperimentConfig, train_set: EncodedDataset,
-             test_set: EncodedDataset) -> _RowResult:
-    """Balance the training set as row ``name`` does (or not), fit the tree,
-    predict the test split and evaluate; writes nothing under ``results/``."""
+def _balance(name: str, config: ExperimentConfig,
+             train_set: EncodedDataset) -> tuple[EncodedDataset, list[int] | None]:
+    """The balance stage: the training set as row ``name`` balances it (or
+    not), and the synthetic rows it added per class (None for the original
+    data)."""
     entry = ROWS[name]
     if entry is None:
-        balanced, synthetic = train_set, None
-    else:
-        balanced = entry[0](bal.BalanceRequest(
-            train_set, seed=stage_seed(config.seed, f"balance.{name}")), config)
-        synthetic = (class_counts(balanced) - class_counts(train_set)).tolist()
+        return train_set, None
+    balanced = entry[0](bal.BalanceRequest(
+        train_set, seed=stage_seed(config.seed, f"balance.{name}")), config)
+    return balanced, (class_counts(balanced) - class_counts(train_set)).tolist()
+
+
+def _evaluate(name: str, config: ExperimentConfig, balanced: EncodedDataset,
+              synthetic: list[int] | None, test_set: EncodedDataset) -> _RowResult:
+    """The evaluation stage: fit the tree on row ``name``'s balanced set,
+    predict the test split and evaluate; writes nothing under ``results/``."""
     tree = dtree.fit(balanced.features, balanced.labels, config.tree_params())
     cm = confusion(test_set.labels, dtree.predict(tree, test_set.features),
                    NUM_CATEGORIES)
@@ -360,40 +376,49 @@ def _run_row(name: str, config: ExperimentConfig, train_set: EncodedDataset,
 
 
 def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
-    """Write a row's report and, for a balancing row, its balanced set (when
-    the config saves it) and its sidecar."""
+    """Write, for a balancing row, its balanced set (when the config saves
+    it) and its sidecar, and then the row's report. The report comes last,
+    so a row whose files fail to write leaves no report for
+    ``load_reports`` to find."""
     results_dir = config.results_dir()
     manifest = manifest_for(config, "run-all")
+    if row.synthetic_per_class is not None:
+        if row.balanced is not None:
+            save_dataset(row.balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
+                         fmt="binary", manifest=manifest)
+        sidecar = {
+            "manifest": manifest,
+            "method": name,
+            "seed": stage_seed(config.seed, f"balance.{name}"),
+            "parameters": {field: getattr(config, field) for field in ROWS[name][1]},
+            "synthetic_per_class": row.synthetic_per_class,
+        }
+        write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
+                     json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     write_atomic(results_dir / f"{_slug(name)}.json", row.report.to_json(manifest=manifest))
-    if row.synthetic_per_class is None:
-        return
-    if row.balanced is not None:
-        save_dataset(row.balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
-                     fmt="binary", manifest=manifest)
-    sidecar = {
-        "manifest": manifest,
-        "method": name,
-        "seed": stage_seed(config.seed, f"balance.{name}"),
-        "parameters": {field: getattr(config, field) for field in ROWS[name][1]},
-        "synthetic_per_class": row.synthetic_per_class,
-    }
-    write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
-                 json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
                     train_set: EncodedDataset, test_set: EncodedDataset,
-                    conn, parent: int) -> None:
-    """The helper process: run ``names`` and send their ``_RowResult``s.
+                    conn, handoff: tuple, scratch: str, parent: int) -> None:
+    """The helper process: run ``names``, then evaluate the ``HANDED_OFF_ROW``
+    if the parent hands its balanced set over, and send the ``_RowResult``s.
 
-    It sends only when every row succeeded; any failure, a row's own
-    included, ends it quietly with exit code 1, and the parent runs the rows
-    itself and reports the failure. SIGTERM raises here, so that an artifact
-    write it interrupts removes its temporary file. The kernel sends that
-    SIGTERM when the parent ends, however it ends (Linux
-    ``PR_SET_PDEATHSIG``), so a killed run leaves no helper running.
+    ``handoff`` is the hand-off pipe's two ends, as the fork left them. Its
+    reading end yields one message, ``(path, synthetic_per_class)`` with the
+    path inside the directory ``scratch``, or ends without one when the
+    parent has nothing to hand over. The helper sends
+    only when every row succeeded; any failure, a row's own included, ends
+    it quietly with exit code 1, and the parent runs the rows itself and
+    reports the failure. SIGTERM raises here, so that an artifact write it
+    interrupts removes its temporary file. The kernel sends that SIGTERM
+    when the parent ends, however it ends (Linux ``PR_SET_PDEATHSIG``), so a
+    killed run leaves no helper running; and since the helper removes
+    ``scratch`` as it ends, none of the hand-off either.
     """
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    handoff_reader, handoff_writer = handoff
+    handoff_writer.close()  # the parent's end: open here, it would keep the pipe from ending
     try:
         import ctypes
 
@@ -402,9 +427,23 @@ def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
         prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
         if os.getppid() != parent:  # the parent ended before the request
             sys.exit(1)
-        conn.send({name: _run_row(name, config, train_set, test_set) for name in names})
+        rows = {name: _evaluate(name, config, *_balance(name, config, train_set), test_set)
+                for name in names}
+        try:
+            path, synthetic = handoff_reader.recv()
+        except EOFError:  # the parent handed nothing over
+            pass
+        else:
+            rows[HANDED_OFF_ROW] = _evaluate(HANDED_OFF_ROW, config, load_dataset(path),
+                                             synthetic, test_set)
+        conn.send(rows)
     except BaseException:
         sys.exit(1)
+    finally:
+        # the parent removes it too, unless it was killed outright; a
+        # hand-off the parent writes once it has gone fails, and the parent
+        # then fits the tree itself
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 @contextlib.contextmanager
@@ -412,19 +451,25 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
                 test_set: EncodedDataset):
     """Run the ``HELPER_ROWS`` in a forked process while the block runs.
 
-    Yields ``(names, join)``: the rows the helper runs, and a function that
-    waits for it and returns their ``_RowResult``s by name, or ``{}`` when the
-    helper failed or was killed. A checkpoint a failed helper left is
-    complete, since ``train_generator`` writes it after its trace, so the
-    parent's rerun may reuse it. Leaving the block without ``join``
-    terminates the helper and reaps it. With one usable CPU, or without
-    those rows, nothing is forked: ``names`` is empty and ``join`` returns
-    ``{}``.
+    Yields ``(names, hand_off, join)``: the rows the helper runs; a function
+    ``hand_off(balanced, synthetic_per_class)`` that writes the
+    ``HANDED_OFF_ROW``'s balanced set into a private temporary directory
+    and sends the helper its path, and returns False when it could not (the
+    helper has ended, or the write failed), so that the caller evaluates
+    the row itself; and a function that waits for the helper and returns
+    the ``_RowResult``s by name, or ``{}`` when the helper failed or was
+    killed. A checkpoint a failed helper left is complete, since
+    ``train_generator`` writes it after its trace, so the parent's rerun may
+    reuse it. Leaving the block without ``join`` terminates the helper and
+    reaps it; the temporary directory goes once the helper is reaped, and
+    the helper removes it too as it ends, for a parent killed outright. With
+    one usable CPU, or without those rows, nothing is forked: ``names`` is
+    empty, ``hand_off`` is None and ``join`` returns ``{}``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     names = tuple(name for name in HELPER_ROWS if name in ROWS)
     if not names or cpus < 2:
-        yield (), lambda: {}
+        yield (), None, lambda: {}
         return
     import multiprocessing  # here, so that importing the CLI does not pay for it
 
@@ -432,13 +477,31 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
     # wrapper put on a module since import, and pickles only its results.
     # OpenBLAS shuts its threads down around a fork, so the helper inherits none.
     context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
+    reader, writer = context.Pipe(duplex=False)  # helper -> parent: the rows
+    handoff_reader, handoff_writer = context.Pipe(duplex=False)  # parent -> helper
+    scratch = tempfile.mkdtemp(prefix="c2bnvae-handoff-")
     helper = context.Process(target=_rows_in_helper,
-                             args=(names, config, train_set, test_set, writer, os.getpid()))
+                             args=(names, config, train_set, test_set, writer,
+                                   (handoff_reader, handoff_writer), scratch, os.getpid()))
     helper.start()
-    writer.close()  # so that reading ends once the helper has ended
+    # close the ends this process does not use, so that reading ends once
+    # the other side has closed its end or ended
+    writer.close()
+    handoff_reader.close()
+
+    def hand_off(balanced: EncodedDataset, synthetic: list[int] | None) -> bool:
+        path = Path(scratch) / "balanced.c2ds"
+        # OSError: a full disk, or a helper that has ended (BrokenPipeError,
+        # or FileNotFoundError once it removed the directory)
+        try:
+            save_dataset(balanced, path, fmt="binary")
+            handoff_writer.send((str(path), synthetic))
+        except OSError:
+            return False
+        return True
 
     def join() -> dict[str, _RowResult]:
+        handoff_writer.close()  # a helper still waiting for a set gets none
         try:
             rows = reader.recv()  # read before joining: a large send blocks until read
         except (EOFError, OSError):  # the helper ended without sending, or mid-send
@@ -447,18 +510,27 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
         return rows if helper.exitcode == 0 else {}
 
     try:
-        yield names, join
+        yield names, hand_off, join
     finally:
         reader.close()
+        handoff_writer.close()
         if helper.exitcode is None:
             helper.terminate()
             helper.join()
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _outcome(name: str, config: ExperimentConfig, train_set: EncodedDataset,
-             test_set: EncodedDataset) -> _RowResult | Exception:
+             test_set: EncodedDataset,
+             hand_off: Callable[[EncodedDataset, list[int] | None], bool] | None = None,
+             ) -> _RowResult | Exception | None:
+    """Row ``name``'s ``_RowResult``, or the exception it raised; None when
+    ``hand_off`` took its balanced set for the helper to evaluate."""
     try:
-        return _run_row(name, config, train_set, test_set)
+        balanced, synthetic = _balance(name, config, train_set)
+        if hand_off is not None and hand_off(balanced, synthetic):
+            return None
+        return _evaluate(name, config, balanced, synthetic, test_set)
     except Exception as exc:
         return exc
 
@@ -468,20 +540,28 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
 
     A failing row (its balancer, its generator's training, its tree or its
     files) contributes the exception text instead of a report, and one
-    warning; the other rows still run. With two usable CPUs the
-    ``HELPER_ROWS`` run in a forked helper while the parent runs the others
-    (``_row_helper``); the parent runs them itself when the helper fails,
-    reusing a checkpoint the helper finished. Every file under ``results/``
-    is written afterwards, in ``ROWS`` order, by the parent alone.
+    warning, and leaves no report file, a stale one included; the other rows
+    still run. With two usable CPUs the ``HELPER_ROWS`` run in a forked
+    helper while the parent runs the others (``_row_helper``). The parent
+    then balances the ``HANDED_OFF_ROW`` first and hands its set to the
+    helper, which fits that row's tree after its own rows; when the hand-off
+    fails, the parent fits it itself. When the helper fails, the parent
+    reruns every row it held, reusing the checkpoints finished by then.
+    Every file under ``results/`` is written afterwards, in ``ROWS`` order,
+    by the parent alone.
     """
     train_set, test_set = load_encoded(config)
     config.results_dir().mkdir(parents=True, exist_ok=True)
-    with _row_helper(config, train_set, test_set) as (moved, join_helper):
-        outcomes = {name: _outcome(name, config, train_set, test_set)
-                    for name in ROWS if name not in moved}
+    with _row_helper(config, train_set, test_set) as (moved, hand_off, join_helper):
+        parent_rows = [name for name in ROWS if name not in moved]
+        if hand_off is not None:  # balance the handed-off row first
+            parent_rows.sort(key=lambda name: name != HANDED_OFF_ROW)
+        outcomes = {name: _outcome(name, config, train_set, test_set,
+                                   hand_off if name == HANDED_OFF_ROW else None)
+                    for name in parent_rows}
         outcomes.update(join_helper())
-    for name in moved:
-        if name not in outcomes:  # the helper failed: the parent runs its rows
+    for name in ROWS:
+        if outcomes.get(name) is None:  # the helper failed: the parent runs its rows
             outcomes[name] = _outcome(name, config, train_set, test_set)
 
     rows: list[tuple[str, EvalReport | str]] = []
@@ -494,6 +574,8 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             except Exception as exc:
                 outcome = exc
         if isinstance(outcome, Exception):
+            # a report an earlier run left would read as this row's success
+            (config.results_dir() / f"{_slug(name)}.json").unlink(missing_ok=True)
             # the traceback only at -v, where the log level is INFO
             logger.warning("algorithm %s failed: %s", name, outcome,
                            exc_info=outcome if logger.isEnabledFor(logging.INFO) else None)

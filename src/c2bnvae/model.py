@@ -390,32 +390,44 @@ def train(dataset: EncodedDataset,
     _, shuffle_rng, noise_rng = _derive_rngs(config.seed)
     optimizer = Adam(model.params, model.grads, lr=config.lr)
     trace: list[TraceRow] = []
-    for epoch in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        sums = np.zeros(3)
-        seen = 0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start:start + config.batch_size]
-            if idx.size < 2:
-                continue  # a singleton batch has undefined batch variance
-            xb = features[idx]
-            yb = labels[idx]
-            hot = one_hot(yb, config.num_classes)
-            mu, logvar = model.encode(xb, yb, training=True, hot=hot)
-            z, sigma, noise = reparameterize_t(mu, logvar, noise_rng)
-            x_hat = model.decode(z, yb, training=True, hot=hot)
-            total, recon, regu = model.loss(xb, x_hat, mu, logvar)
-            if not np.isfinite(total):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}")
-            model.backward(xb, x_hat, mu, logvar, sigma, noise)
-            optimizer.step()
-            sums += idx.size * np.array([recon, regu, total])
-            seen += idx.size
-        if seen == 0:
-            raise DataError("every batch was skipped; increase the dataset size")
-        trace.append(TraceRow(epoch, *(sums / seen)))
-    return model.to_checkpoint(dataset.schema.fingerprint), trace
+    # a diverging run overflows long before its loss turns non-finite; the
+    # loss check below and the final check after the loop catch every
+    # non-finite state, so numpy's warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            perm = shuffle_rng.permutation(n)
+            sums = np.zeros(3)
+            seen = 0
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                idx = perm[start:start + config.batch_size]
+                if idx.size < 2:
+                    continue  # a singleton batch has undefined batch variance
+                xb = features[idx]
+                yb = labels[idx]
+                hot = one_hot(yb, config.num_classes)
+                mu, logvar = model.encode(xb, yb, training=True, hot=hot)
+                z, sigma, noise = reparameterize_t(mu, logvar, noise_rng)
+                x_hat = model.decode(z, yb, training=True, hot=hot)
+                total, recon, regu = model.loss(xb, x_hat, mu, logvar)
+                if not np.isfinite(total):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}")
+                model.backward(xb, x_hat, mu, logvar, sigma, noise)
+                optimizer.step()
+                sums += idx.size * np.array([recon, regu, total])
+                seen += idx.size
+                last_step = epoch, batch_index
+            if seen == 0:
+                raise DataError("every batch was skipped; increase the dataset size")
+            trace.append(TraceRow(epoch, *(sums / seen)))
+    # the last step's update is never loss-checked: a non-finite gradient
+    # there, or running statistics that overflowed, would otherwise be saved
+    checkpoint = model.to_checkpoint(dataset.schema.fingerprint)
+    for name, array in (*checkpoint.params.items(), *checkpoint.stats.items()):
+        if not np.all(np.isfinite(array)):
+            raise TrainingDiverged(f"non-finite {name} after the last step, at "
+                                   f"epoch {last_step[0]}, batch {last_step[1]}")
+    return checkpoint, trace
 
 
 def generate(label: int, n: int, checkpoint: Checkpoint,

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -322,6 +323,54 @@ def test_row_table_fields_are_the_config_fields_each_balancer_reads(monkeypatch)
         config = RecordingConfig(ExperimentConfig())
         balance(request, config)
         assert config.read == set(fields), name
+
+
+def test_failed_row_leaves_no_report(corpus_files, tmp_path, monkeypatch):
+    # a row whose files fail to write, on a fresh output directory and over
+    # a report an earlier run left: either way ``load_reports`` must not
+    # read the row as a success
+    from c2bnvae import experiment
+
+    real_save = experiment.save_dataset
+
+    def save_dataset(dataset, path, **kwargs):
+        if Path(path).name == "balanced_smote.c2ds":
+            raise OSError("disk full")
+        real_save(dataset, path, **kwargs)
+
+    config = make_config(corpus_files, tmp_path, seed=1, save_balanced=True)
+    preprocess(config)
+    report = config.results_dir() / "smote.json"
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "save_dataset", save_dataset)
+        assert dict(run_all(config))["SMOTE"] == "disk full"
+    assert not report.exists()
+    assert isinstance(dict(run_all(config))["SMOTE"], EvalReport)
+    assert report.exists()
+    monkeypatch.setattr(experiment, "save_dataset", save_dataset)
+    rows = run_all(config)
+    assert dict(rows)["SMOTE"] == "disk full"
+    assert not report.exists()
+    table = (config.results_dir() / "results_table.txt").read_text()
+    assert re.search(r"^SMOTE +FAILED: disk full$", table, re.M)
+    assert [name for name, _ in load_reports(config.results_dir())] == [
+        name for name, outcome in rows if isinstance(outcome, EvalReport)]
+
+
+def test_non_finite_checkpoint_is_retrained(corpus_files, tmp_path):
+    from c2bnvae.checkpoint import load_checkpoint, save_checkpoint
+
+    config = make_config(corpus_files, tmp_path, epochs=2)
+    preprocess(config)
+    run_all(config)
+    path = config.models_dir() / "c2bnvae.ckpt"
+    trained = path.read_bytes()
+    ckpt = load_checkpoint(path)
+    ckpt.params["dec.out.W"][0, 0] = np.nan
+    save_checkpoint(ckpt, path)
+    rows = dict(run_all(config))
+    assert isinstance(rows["C2BNVAE"], EvalReport), rows["C2BNVAE"]
+    assert path.read_bytes() == trained
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
 """With two usable CPUs, ``run_all`` runs the Original and C2BNVAE rows in a
 forked helper process while the parent runs the other six, and the parent
-alone writes ``results/``. Every outcome must be an inline run's: the same
-bytes under ``encoded/``, ``models/`` and ``results/`` under every output
-option, the same row texts, warnings and exit code when a row fails, an
-inline rerun of both helper rows when the helper fails or is killed, and no
-process left behind.
+alone writes ``results/``. The parent balances the CVAE row first and hands
+its balanced set to the helper through a file in a private temporary
+directory, and the helper fits that row's tree after its own rows. Every
+outcome must be an inline run's: the same bytes under ``encoded/``,
+``models/`` and ``results/`` under every output option, the same row texts,
+warnings and exit code when a row fails, the CVAE tree fitted in the parent
+when the hand-off fails, an inline rerun of every row the helper held when
+it fails or is killed, no temporary directory and no process left behind.
 
 The in-process tests choose the mode by the CPU count ``run_all`` sees:
 one usable CPU runs inline, two fork the helper. A monkeypatch made before
@@ -18,6 +21,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -95,6 +99,42 @@ def count_parent_fits(monkeypatch) -> list:
     return fits
 
 
+@pytest.fixture
+def handoff_dir(tmp_path, monkeypatch):
+    """The directory the hand-off's temporary directory is made in."""
+    path = tmp_path / "tmp"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def watch_hand_offs(monkeypatch, before=lambda path: None) -> list:
+    """The hand-off files the parent writes from here on, in a list:
+    datasets written anywhere but under an ``encoded`` or ``results``
+    directory. ``before(path)`` runs before each is written."""
+    handed = []
+    real_save = experiment.save_dataset
+
+    def save_dataset(dataset, path, **kwargs):
+        if Path(path).parent.name not in ("encoded", "results"):
+            handed.append(Path(path))
+            before(path)
+        real_save(dataset, path, **kwargs)
+
+    monkeypatch.setattr(experiment, "save_dataset", save_dataset)
+    return handed
+
+
+def count_saves(monkeypatch) -> list:
+    """The checkpoints the parent saves from here on, by file name, in a list."""
+    saved = []
+    real_save = experiment.save_checkpoint
+    monkeypatch.setattr(experiment, "save_checkpoint",
+                        lambda ckpt, path, manifest: (saved.append(path.name),
+                                                      real_save(ckpt, path, manifest)))
+    return saved
+
+
 def test_helper_run_writes_the_inline_bytes(corpus_files, tmp_path, monkeypatch, inline):
     config = make_config(corpus_files, tmp_path)
     started = count_starts(monkeypatch)
@@ -120,14 +160,21 @@ def inline_every_output(request, corpus_files, tmp_path_factory):
 
 
 def test_helper_run_writes_the_inline_bytes_under_every_output_option(
-        corpus_files, tmp_path, monkeypatch, inline_every_output):
+        corpus_files, tmp_path, monkeypatch, inline_every_output, handoff_dir):
     dataset_format, rows, expected = inline_every_output
-    config = make_config(corpus_files, tmp_path, dataset_format=dataset_format,
+    out_dir = tmp_path / "out"
+    config = make_config(corpus_files, out_dir, dataset_format=dataset_format,
                          **EVERY_OUTPUT)
     started = count_starts(monkeypatch)
+    handed = watch_hand_offs(monkeypatch)
     assert run(config, 2, monkeypatch) == rows
     assert len(started) == 1
-    assert artifacts(tmp_path) == expected
+    assert artifacts(out_dir) == expected
+    # one hand-off file, in a private directory that is gone again, and
+    # nothing else under the output directory
+    assert [path.parent.parent for path in handed] == [handoff_dir]
+    assert list(handoff_dir.iterdir()) == []
+    assert sorted(path.name for path in out_dir.iterdir()) == ["encoded", "models", "results"]
     # the helper's C2BNVAE row sent its balanced set back to be saved
     assert {"results/balanced_c2bnvae.c2ds", "results/chart.svg",
             f"encoded/train.{'c2ds' if dataset_format == 'binary' else 'csv'}"} <= set(expected)
@@ -148,16 +195,13 @@ def test_helper_writes_nothing_under_results(corpus_files, tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "replace", replace)
     fits = count_parent_fits(monkeypatch)
-    saved = []
-    real_save = experiment.save_checkpoint
-    monkeypatch.setattr(experiment, "save_checkpoint",
-                        lambda ckpt, path, manifest: (saved.append(path.name),
-                                                      real_save(ckpt, path, manifest)))
+    saved = count_saves(monkeypatch)
     assert run(config, 2, monkeypatch) == rows
     assert artifacts(tmp_path) == expected
-    # nothing ran twice: the parent fitted the six other rows' trees and
-    # trained only the CVAE generator, so the helper's rows were not rerun
-    assert len(fits) == len(experiment.ROWS) - len(experiment.HELPER_ROWS) == 6
+    # nothing ran twice: the parent fitted the five oversampler rows' trees
+    # and trained only the CVAE generator, whose tree the helper fitted, so
+    # no row was rerun
+    assert len(fits) == len(experiment.ROWS) - len(experiment.HELPER_ROWS) - 1 == 5
     assert saved == ["cvae.ckpt"]
 
 
@@ -300,14 +344,10 @@ def test_helper_failing_after_its_checkpoint_retrains_inline(corpus_files, tmp_p
 
     monkeypatch.setattr(experiment, "write_trace_csv", write_trace_csv)
     config = make_config(corpus_files, tmp_path)
-    saved = []
-    real_save = experiment.save_checkpoint
-    monkeypatch.setattr(experiment, "save_checkpoint",
-                        lambda ckpt, path, manifest: (saved.append(path),
-                                                      real_save(ckpt, path, manifest)))
+    saved = count_saves(monkeypatch)
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(tmp_path) == inline[1]
-    assert [path.name for path in saved] == ["cvae.ckpt", "c2bnvae.ckpt"]  # retrained
+    assert saved == ["cvae.ckpt", "c2bnvae.ckpt"]  # retrained
 
 
 def test_helper_failing_after_training_leaves_a_checkpoint_the_rerun_reuses(
@@ -326,11 +366,7 @@ def test_helper_failing_after_training_leaves_a_checkpoint_the_rerun_reuses(
         return real_fit(*args)
 
     monkeypatch.setattr(dtree, "fit", fit)
-    saved = []
-    real_save = experiment.save_checkpoint
-    monkeypatch.setattr(experiment, "save_checkpoint",
-                        lambda ckpt, path, manifest: (saved.append(path.name),
-                                                      real_save(ckpt, path, manifest)))
+    saved = count_saves(monkeypatch)
     config = make_config(corpus_files, tmp_path)
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(tmp_path) == inline[1]
@@ -376,6 +412,103 @@ def test_killed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, inli
     assert multiprocessing.active_children() == []
 
 
+def test_hand_off_to_an_ended_helper_fits_the_row_in_the_parent(
+        corpus_files, tmp_path, monkeypatch, inline, handoff_dir):
+    real_fit = dtree.fit
+
+    def fit(*args):  # the helper fails in its first row
+        if in_helper():
+            raise MemoryError
+        return real_fit(*args)
+
+    monkeypatch.setattr(dtree, "fit", fit)
+    started = count_starts(monkeypatch)
+    # the hand-off waits until the helper has ended, so its send finds the
+    # pipe broken
+    handed = watch_hand_offs(monkeypatch, before=lambda path: started[0].join(60))
+    fits = count_parent_fits(monkeypatch)
+    config = make_config(corpus_files, tmp_path / "out")
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(config.out_dir) == inline[1]
+    assert len(handed) == 1 and started[0].exitcode == 1
+    # the CVAE tree, the five oversampler rows' and both helper rows' reruns
+    assert len(fits) == len(experiment.ROWS)
+    assert list(handoff_dir.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_hand_off_that_cannot_be_written_fits_the_row_in_the_parent(
+        corpus_files, tmp_path, monkeypatch, inline, handoff_dir):
+    def full(path):
+        raise OSError(28, "No space left on device")
+
+    handed = watch_hand_offs(monkeypatch, before=full)
+    fits = count_parent_fits(monkeypatch)
+    saved = count_saves(monkeypatch)
+    config = make_config(corpus_files, tmp_path / "out")
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(config.out_dir) == inline[1]
+    assert len(handed) == 1
+    # the helper was told there was nothing to fit and sent its two rows:
+    # the parent fitted the CVAE tree and the five oversampler rows' only
+    assert len(fits) == 6
+    assert saved == ["cvae.ckpt"]
+    assert list(handoff_dir.iterdir()) == []
+
+
+def test_generator_balance_that_raises_hands_nothing_off(corpus_files, tmp_path,
+                                                         monkeypatch, handoff_dir):
+    real_train = model.train
+
+    def train(dataset, config):
+        if not config.use_cbn:
+            raise ValueError("generator broke")
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(model, "train", train)
+    handed = watch_hand_offs(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2):
+        config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
+        fits = count_parent_fits(monkeypatch)
+        rows = run(config, cpus, monkeypatch)
+        outcomes.append((rows, artifacts(config.out_dir)))
+    assert outcomes[0] == outcomes[1]
+    assert dict(outcomes[1][0])["CVAE"] == "generator broke"
+    assert handed == []
+    # the helper, told there was nothing to fit, sent its two rows
+    assert len(fits) == 5
+    assert list(handoff_dir.iterdir()) == []
+
+
+def test_helper_failing_on_the_handed_off_row_reruns_every_row_it_held(
+        corpus_files, tmp_path, monkeypatch, inline, handoff_dir):
+    real_fit = dtree.fit
+    helper_fits = []
+
+    def fit(*args):  # the helper's third tree is the handed-off CVAE row's
+        if in_helper():
+            helper_fits.append(1)
+            if len(helper_fits) == 3:
+                raise MemoryError
+        return real_fit(*args)
+
+    monkeypatch.setattr(dtree, "fit", fit)
+    handed = watch_hand_offs(monkeypatch)
+    fits = count_parent_fits(monkeypatch)
+    saved = count_saves(monkeypatch)
+    config = make_config(corpus_files, tmp_path / "out")
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(config.out_dir) == inline[1]
+    assert len(handed) == 1
+    # the five oversampler rows, then Original, CVAE and C2BNVAE again,
+    # each generator from the checkpoint it had finished
+    assert len(fits) == len(experiment.ROWS)
+    assert saved == ["cvae.ckpt"]
+    assert list(handoff_dir.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
     run(make_config(corpus_files, tmp_path / "ok"), 2, monkeypatch)
     assert multiprocessing.active_children() == []
@@ -390,10 +523,14 @@ def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
 
 
 def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monkeypatch,
-                                                    capfd):
+                                                    capfd, handoff_dir):
     models = tmp_path / "models"
 
+    real_save = experiment.save_checkpoint
+
     def save_checkpoint(ckpt, path, manifest):  # the helper stalls mid-write
+        if not in_helper():  # the parent's CVAE checkpoint, before its smote
+            return real_save(ckpt, path, manifest)
         with atomic_write(path, "wb") as fh:
             fh.write(b"half a checkpoint")
             fh.flush()
@@ -413,9 +550,11 @@ def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monk
     assert time.monotonic() - started < 60  # terminated, not waited for
     assert multiprocessing.active_children() == []
     # the helper left its finished trace, removed the checkpoint's temporary
-    # file, and said nothing
-    assert sorted(path.name for path in models.iterdir()) == ["c2bnvae_trace.csv"]
+    # file, and said nothing; the parent finished the CVAE generator first
+    assert sorted(path.name for path in models.iterdir()) == [
+        "c2bnvae_trace.csv", "cvae.ckpt", "cvae_trace.csv"]
     assert capfd.readouterr().err == ""
+    assert list(handoff_dir.iterdir()) == []  # the CVAE set handed off before smote
 
 
 # run_all with two usable CPUs, whose helper writes its pid and stalls
@@ -459,11 +598,15 @@ def test_helper_ends_with_a_killed_parent(corpus_files, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     pid_file = tmp_path / "helper.pid"
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     parent = subprocess.Popen([sys.executable, "-c", STALLED_HELPER, str(path), str(pid_file)],
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                   "TMPDIR": str(scratch)})
     try:
+        # kill once the helper has started and the parent has handed off
         deadline = time.monotonic() + 120
-        while not pid_file.exists():
+        while not (pid_file.exists() and list(scratch.glob("*/balanced.c2ds"))):
             assert parent.poll() is None and time.monotonic() < deadline
             time.sleep(0.02)
         helper = int(pid_file.read_text())
@@ -475,6 +618,7 @@ def test_helper_ends_with_a_killed_parent(corpus_files, tmp_path):
     while running(helper) and time.monotonic() < deadline:
         time.sleep(0.02)
     assert not running(helper)
+    assert list(scratch.iterdir()) == []  # the helper removed the hand-off
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,34 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match=r"epoch 0, batch \d"):
             train(data, blob_config(epochs=1))
 
+    def test_overflowing_training_diverges_without_a_warning(self):
+        data = blobs(n=64)
+        features = data.features.copy()
+        features[0, 0] = 1e300  # the batch variance overflows
+        data = EncodedDataset(features, data.labels, data.schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
+                train(data, blob_config(epochs=1))
+
+    @pytest.mark.parametrize("poisoned", ["grads", "stats"])
+    def test_non_finite_state_after_the_last_step_diverges(self, monkeypatch, poisoned):
+        # one step, whose loss is finite: only the final check sees what the
+        # step's NaN gradient or an overflowed running statistic left
+        real_backward = C2BNVAE.backward
+
+        def backward(self, *args):
+            real_backward(self, *args)
+            if poisoned == "grads":
+                self.grads[0] = np.nan
+            else:
+                self.dec_norm.running_var[0] = np.inf
+
+        monkeypatch.setattr(C2BNVAE, "backward", backward)
+        with pytest.raises(TrainingDiverged, match=r"non-finite dec\.norm\.running_var "
+                           if poisoned == "stats" else "non-finite enc"):
+            train(blobs(n=64), blob_config(epochs=1, batch_size=64))
+
 
 class TestGenerate:
     def test_range_and_shape(self):
@@ -258,6 +287,15 @@ class TestCheckpointIO:
         a = generate(0, 8, ckpt, np.random.default_rng(11))
         b = generate(0, 8, loaded, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["dec.out.W", "dec.norm.running_mean"])
+    def test_non_finite_block_is_checkpoint_error(self, value, block):
+        ckpt = self.make_checkpoint()
+        arrays = ckpt.params if block in ckpt.params else ckpt.stats
+        arrays[block].flat[-1] = value
+        with pytest.raises(CheckpointError, match=f"block {block} holds a non-finite value"):
+            load_checkpoint(checkpoint_bytes(ckpt))
 
     def test_corrupted_magic(self, tmp_path):
         ckpt = self.make_checkpoint()
