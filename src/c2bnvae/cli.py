@@ -73,7 +73,9 @@ def cli(verbose: bool) -> None:
               help="Pad encoded width with zero columns (123 reproduces the "
                    "published shapes). Use 0 to disable padding.")
 @click.option("--fmt", "dataset_format", type=click.Choice(DATASET_FORMATS),
-              default=None, help="Encoded dataset file format.")
+              default=None,
+              help="csv also exports encoded/{train,test}.csv for people and "
+                   "other tools; the pipeline reads the .c2ds files either way.")
 def cmd_preprocess(config_path, **overrides) -> None:
     """Parse NSL-KDD files, encode both splits and write them with the counts."""
     if overrides.get("pad_to") == 0:

@@ -183,9 +183,9 @@ class ExperimentConfig:
         return Path(self.out_dir) / "encoded"
 
     def encoded_paths(self) -> tuple[Path, Path]:
-        """The encoded train and test files, named by the dataset format."""
-        ext = "c2ds" if self.dataset_format == "binary" else "csv"
-        return self.encoded_dir() / f"train.{ext}", self.encoded_dir() / f"test.{ext}"
+        """The encoded train and test files the pipeline reads, in either
+        dataset format."""
+        return self.encoded_dir() / "train.c2ds", self.encoded_dir() / "test.c2ds"
 
     def models_dir(self) -> Path:
         return Path(self.out_dir) / "models"
@@ -254,8 +254,10 @@ def preprocess(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_for(config, "preprocess")
     train_file, test_file = config.encoded_paths()
-    save_dataset(encoded_train, train_file, fmt=config.dataset_format, manifest=manifest)
-    save_dataset(encoded_test, test_file, fmt=config.dataset_format, manifest=manifest)
+    for dataset, path in ((encoded_train, train_file), (encoded_test, test_file)):
+        save_dataset(dataset, path, fmt="binary", manifest=manifest)
+        if config.dataset_format == "csv":  # an export that no step reads back
+            save_dataset(dataset, path.with_suffix(".csv"), fmt="csv", manifest=manifest)
 
     counts = class_counts(encoded_train)
     lines = [manifest_line(manifest)]
@@ -375,17 +377,24 @@ def _evaluate(name: str, config: ExperimentConfig, balanced: EncodedDataset,
                       balanced if synthetic is not None and config.save_balanced else None)
 
 
+def _row_files(name: str, config: ExperimentConfig) -> tuple[Path, Path, Path]:
+    """Row ``name``'s files under ``results/``: its balanced set, its sidecar
+    and its report."""
+    results_dir, slug = config.results_dir(), _slug(name)
+    return (results_dir / f"balanced_{slug}.c2ds",
+            results_dir / f"{slug}_balance_manifest.json", results_dir / f"{slug}.json")
+
+
 def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
     """Write, for a balancing row, its balanced set (when the config saves
     it) and its sidecar, and then the row's report. The report comes last,
     so a row whose files fail to write leaves no report for
     ``load_reports`` to find."""
-    results_dir = config.results_dir()
+    balanced_path, sidecar_path, report_path = _row_files(name, config)
     manifest = manifest_for(config, "run-all")
     if row.synthetic_per_class is not None:
         if row.balanced is not None:
-            save_dataset(row.balanced, results_dir / f"balanced_{_slug(name)}.c2ds",
-                         fmt="binary", manifest=manifest)
+            save_dataset(row.balanced, balanced_path, fmt="binary", manifest=manifest)
         sidecar = {
             "manifest": manifest,
             "method": name,
@@ -393,9 +402,8 @@ def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
             "parameters": {field: getattr(config, field) for field in ROWS[name][1]},
             "synthetic_per_class": row.synthetic_per_class,
         }
-        write_atomic(results_dir / f"{_slug(name)}_balance_manifest.json",
-                     json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    write_atomic(results_dir / f"{_slug(name)}.json", row.report.to_json(manifest=manifest))
+        write_atomic(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    write_atomic(report_path, row.report.to_json(manifest=manifest))
 
 
 def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
@@ -540,7 +548,7 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
 
     A failing row (its balancer, its generator's training, its tree or its
     files) contributes the exception text instead of a report, and one
-    warning, and leaves no report file, a stale one included; the other rows
+    warning, and leaves none of its files, stale ones included; the other rows
     still run. With two usable CPUs the ``HELPER_ROWS`` run in a forked
     helper while the parent runs the others (``_row_helper``). The parent
     then balances the ``HANDED_OFF_ROW`` first and hands its set to the
@@ -574,8 +582,9 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
             except Exception as exc:
                 outcome = exc
         if isinstance(outcome, Exception):
-            # a report an earlier run left would read as this row's success
-            (config.results_dir() / f"{_slug(name)}.json").unlink(missing_ok=True)
+            # files an earlier run left would read as this row's success
+            for path in _row_files(name, config):
+                path.unlink(missing_ok=True)
             # the traceback only at -v, where the log level is INFO
             logger.warning("algorithm %s failed: %s", name, outcome,
                            exc_info=outcome if logger.isEnabledFor(logging.INFO) else None)

@@ -21,7 +21,6 @@ import io
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -38,9 +37,7 @@ Array = np.ndarray
 DATASET_FORMAT_VERSION = 1
 DATASET_MAGIC = b"C2DS"
 DATASET_FORMATS = ("binary", "csv")
-CSV_BLOCK = 1024  # rows the CSV writer formats, and the reader converts, together
-CSV_FIELD_CHARS = 24  # the longest field the CSV writer writes: a float64's repr
-CSV_ROW_BYTES = b"0123456789.e+-,\n"  # every character the CSV writer writes in a row
+CSV_BLOCK = 1024  # rows the CSV writer formats together
 
 FEATURE_NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -458,7 +455,7 @@ def class_counts(dataset: EncodedDataset) -> Array:
 
 
 # ----------------------------------------------------------------------
-# dataset file formats: versioned binary, and CSV for interoperability
+# dataset file formats: versioned binary, and a CSV export for other tools
 # ----------------------------------------------------------------------
 
 def save_dataset(dataset: EncodedDataset, path, fmt: str = "binary",
@@ -536,20 +533,15 @@ def _checked(features: Array, labels: Array, schema: EncodingSchema,
 
 
 def load_dataset(path) -> EncodedDataset:
+    """A dataset as ``save_dataset(fmt="binary")`` writes it. Any other file,
+    a CSV export included, is a DataError: the pipeline reads binary only."""
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:  # unbuffered: one read of the whole file
-        if fh.read(len(DATASET_MAGIC)) == DATASET_MAGIC:
-            fh.seek(0)
-            return _load_binary(fh.read(), path)
-    # fall back to CSV
-    try:
-        with open(path) as fh:
-            return _load_csv(fh, path)
-    except UnicodeDecodeError:
-        raise DataError(f"{path} is neither a binary dataset nor a text CSV") from None
-
-
-def _load_binary(data: bytes, path: Path) -> EncodedDataset:
+        if fh.read(len(DATASET_MAGIC)) != DATASET_MAGIC:
+            raise DataError(f"{path} is not a binary dataset; rerun preprocess to "
+                            f"write the encoded .c2ds files")
+        fh.seek(0)
+        data = fh.read()
     header, blocks = container.read(data, DATASET_MAGIC, DATASET_FORMAT_VERSION,
                                     f"{path}: dataset file")
     schema = _header_schema(header, f"{path}: dataset header")
@@ -566,82 +558,6 @@ def _load_binary(data: bytes, path: Path) -> EncodedDataset:
         raise DataError(f"{path}: the dataset header's n={n} and feature_dim={d} do "
                         f"not match its blocks and its schema")
     return _checked(feats.reshape(n, d).copy(), labels.astype(np.int64), schema, path)
-
-
-def _load_csv(fh, path: Path) -> EncodedDataset:
-    """Read a CSV dataset as ``save_dataset(fmt="csv")`` writes it.
-
-    After the ``# {json}`` line and the column header the writer writes,
-    every line is a row: an integer label and ``feature_dim`` numbers,
-    split at every comma and never quoted. Each block of ``CSV_BLOCK`` rows
-    is converted by one ``np.loadtxt`` call, which reads each label once as
-    a 64-bit integer and each feature as a float64. Any other line (a blank
-    one, a character outside ``CSV_ROW_BYTES`` such as a space, a quote, a
-    NUL, ``_`` or ``٣``, a wrong field count, more than ``CSV_FIELD_CHARS``
-    characters a field) is a DataError naming the first line of its block
-    that the same conversion refuses on its own.
-    """
-    first = fh.readline()
-    if not first.startswith("# "):
-        raise DataError(f"{path} is neither a binary dataset nor a commented CSV")
-    try:
-        meta = json.loads(first[2:])
-    except (ValueError, RecursionError) as exc:  # not JSON, too deep
-        raise DataError(f"{path}: CSV comment header is not valid JSON: {exc}") from None
-    schema = _header_schema(meta, f"{path}: CSV comment header")
-    names = _csv_column_names(schema.feature_dim)
-    if fh.readline() != names + "\n":
-        raise DataError(f"{path} line 2: the column header is not {names}")
-    row = np.dtype([("label", "<i8"), ("features", "<f8", (schema.feature_dim,))])
-    blocks = []
-    lineno = 3  # the file line of the next block's first row
-    while block := list(itertools.islice(fh, CSV_BLOCK)):
-        rows = _csv_rows_of(block, row)
-        if rows is None:
-            rows = np.concatenate([_csv_line(line, row, path, i)
-                                   for i, line in enumerate(block, start=lineno)])
-        blocks.append(rows)
-        lineno += len(block)
-    rows = np.concatenate(blocks) if blocks else np.zeros(0, dtype=row)
-    # contiguous copies, laid out as the binary loader lays its arrays out
-    return _checked(rows["features"].copy(), rows["label"].copy(), schema, path)
-
-
-def _csv_rows_of(lines: list[str], row: np.dtype) -> Array | None:
-    """``lines`` converted to records of dtype ``row``, or None if a line is
-    not a row as ``save_dataset`` writes one."""
-    width = row["features"].shape[0] + 1
-    # np.loadtxt skips a blank line, and warns if all are; it reads some
-    # characters the writer never writes otherwise than int and float do
-    # (\x1c as a space, some non-ASCII letters as label digits)
-    if ("\n" in lines or max(map(len, lines)) > width * (CSV_FIELD_CHARS + 1)
-            or "".join(lines).encode().translate(None, CSV_ROW_BYTES)):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy releases before the deprecation expired read an integer
-            # field such as 1.5 as a float and truncate it, with only a
-            # DeprecationWarning, which the default filters hide
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None,
-                              quotechar=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-
-
-def _csv_line(line: str, row: np.dtype, path: Path, lineno: int) -> Array:
-    """File line ``lineno`` converted as ``_csv_rows_of`` converts a block;
-    raises DataError if it refuses the line."""
-    rows = _csv_rows_of([line], row)
-    if rows is not None:
-        return rows
-    width, fields = row["features"].shape[0] + 1, line.count(",") + 1
-    if fields != width:
-        raise DataError(f"{path} line {lineno}: expected {width} fields, got {fields}")
-    if len(line) > width * (CSV_FIELD_CHARS + 1):  # each field, and a comma or newline
-        raise DataError(f"{path} line {lineno}: longer than {CSV_FIELD_CHARS} "
-                        f"characters a field")
-    raise DataError(f"{path} line {lineno}: the label or a feature is not a number")
 
 
 def synthetic_schema(feature_dim: int) -> EncodingSchema:

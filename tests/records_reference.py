@@ -6,9 +6,7 @@ turn and yields a ``RawRecord``; ``fit_schema`` and ``transform`` walk those
 records field by field. ``c2bnvae.nslkdd`` parses and encodes whole columns
 and must give the same table, schema, encoding and errors
 (``assert_table_matches``). ``load_csv_dataset`` reads an encoded CSV
-dataset one ``csv.reader`` row at a time; ``nslkdd.load_dataset`` converts
-blocks of rows, may refuse a file this reader reads, and must give the
-same arrays for any file it reads.
+dataset one ``csv.reader`` row at a time.
 """
 
 from __future__ import annotations

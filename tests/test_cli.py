@@ -278,17 +278,13 @@ class TestExitCodes:
         config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
                                       "out_dir": str(tmp_path), "dataset_format": fmt}))
         assert main(["preprocess", "--config", str(config)]) == EXIT_OK
-        path = tmp_path / "encoded" / f"{split}.{'c2ds' if fmt == 'binary' else 'csv'}"
-        # no dataset holds a label of 7, so the file's bytes are edited
+        # either format's run reads the binary file; no dataset holds a
+        # label of 7, so the file's bytes are edited
+        path = tmp_path / "encoded" / f"{split}.c2ds"
         raw = path.read_bytes()
-        if fmt == "binary":
-            (head_len,) = struct.unpack_from("<Q", raw, 8)
-            at = 16 + head_len + 8  # the first label, past its block's length field
-            path.write_bytes(raw[:at] + struct.pack("<q", 7) + raw[at + 8:])
-        else:
-            comment, columns, first, rest = raw.split(b"\n", 3)
-            first = b"7" + first[first.index(b","):]
-            path.write_bytes(b"\n".join([comment, columns, first, rest]))
+        (head_len,) = struct.unpack_from("<Q", raw, 8)
+        at = 16 + head_len + 8  # the first label, past its block's length field
+        path.write_bytes(raw[:at] + struct.pack("<q", 7) + raw[at + 8:])
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "labels must be below 5" in capsys.readouterr().err
 
@@ -302,11 +298,11 @@ class TestExitCodes:
         config.write_text(json.dumps({"train_path": str(train), "test_path": str(test),
                                       "out_dir": str(tmp_path), "dataset_format": fmt}))
         assert main(["preprocess", "--config", str(config)]) == EXIT_OK
-        path = tmp_path / "encoded" / f"train.{'c2ds' if fmt == 'binary' else 'csv'}"
+        path = tmp_path / "encoded" / "train.c2ds"  # what either format's run reads
         dataset = load_dataset(path)
         features = dataset.features.copy()
         features[0, 0] = 1.25  # the loader checks feature values, the dataset does not
-        save_dataset(EncodedDataset(features, dataset.labels, dataset.schema), path, fmt=fmt)
+        save_dataset(EncodedDataset(features, dataset.labels, dataset.schema), path)
         assert main(["run-all", "--config", str(config)]) == EXIT_DATA
         assert "features must lie in [0, 1]" in capsys.readouterr().err
 

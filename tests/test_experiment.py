@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from c2bnvae.cli import EXIT_DATA, main
 from c2bnvae.errors import DataError
 from c2bnvae.experiment import (ROWS, ExperimentConfig, count_report,
-                                load_encoded, load_reports, manifest_line,
-                                preprocess, run_all, stage_seed,
+                                load_encoded, load_reports, manifest_for,
+                                manifest_line, preprocess, run_all, stage_seed,
                                 stratified_subsample, write_trace_csv)
 from c2bnvae.metrics import EvalReport
 from c2bnvae.model import ModelConfig, TraceRow
-from c2bnvae.nslkdd import CATEGORY_NAMES, class_counts, load_dataset
+from c2bnvae.nslkdd import (CATEGORY_NAMES, DATASET_FORMATS, class_counts, load_dataset,
+                            save_dataset)
 
 import corpus
 from helpers import JSON_TOKENS, file_mutations
@@ -107,6 +108,23 @@ class TestPreprocess:
         artifacts = preprocess(config)
         # 38 numerics + data-driven vocabularies
         assert artifacts["feature_dim"] < 123
+
+    def test_dataset_format_changes_no_byte_the_pipeline_reads(self, corpus_files, tmp_path):
+        # the manifest leaves dataset_format out, so csv only adds the export
+        written = {}
+        for fmt in DATASET_FORMATS:
+            config = make_config(corpus_files, tmp_path / fmt, dataset_format=fmt)
+            preprocess(config)
+            written[fmt] = {p.name: p.read_bytes() for p in config.encoded_dir().iterdir()}
+        assert sorted(written["csv"]) == sorted([*written["binary"], "train.csv", "test.csv"])
+        for name, raw in written["binary"].items():
+            assert written["csv"][name] == raw, name
+        # each export is the CSV writer's bytes for the binary set it sits beside
+        for split in ("train", "test"):
+            path = tmp_path / f"{split}.csv"
+            save_dataset(load_dataset(config.encoded_dir() / f"{split}.c2ds"), path,
+                         fmt="csv", manifest=manifest_for(config, "preprocess"))
+            assert written["csv"][f"{split}.csv"] == path.read_bytes()
 
     def test_run_all_requires_preprocess(self, corpus_files, tmp_path):
         config = make_config(corpus_files, tmp_path / "fresh")
@@ -225,7 +243,7 @@ class TestRunAll:
         train_set, test_set = load_encoded(config)
         keep = np.flatnonzero(train_set.labels != 3)
         keep = np.append(keep, np.flatnonzero(train_set.labels == 3)[:1])
-        from c2bnvae.nslkdd import EncodedDataset, save_dataset
+        from c2bnvae.nslkdd import EncodedDataset
 
         crippled = EncodedDataset(features=train_set.features[np.sort(keep)],
                                   labels=train_set.labels[np.sort(keep)],
@@ -355,6 +373,28 @@ def test_failed_row_leaves_no_report(corpus_files, tmp_path, monkeypatch):
     assert re.search(r"^SMOTE +FAILED: disk full$", table, re.M)
     assert [name for name, _ in load_reports(config.results_dir())] == [
         name for name, outcome in rows if isinstance(outcome, EvalReport)]
+
+
+def test_failed_row_removes_the_files_an_earlier_run_left(corpus_files, tmp_path,
+                                                         monkeypatch):
+    # a balanced set and sidecar beside a table that says the row failed
+    # would describe a run that did not happen
+    from c2bnvae import balancers, experiment
+
+    monkeypatch.setattr(experiment, "ROWS", {"SMOTE": ROWS["SMOTE"]})
+    config = make_config(corpus_files, tmp_path, seed=1, save_balanced=True)
+    preprocess(config)
+    assert isinstance(dict(run_all(config))["SMOTE"], EvalReport)
+    files = [config.results_dir() / name for name in
+             ("balanced_smote.c2ds", "smote_balance_manifest.json", "smote.json")]
+    assert all(path.exists() for path in files)
+
+    def fail(request, **settings):
+        raise ValueError("smote broke")
+
+    monkeypatch.setattr(balancers, "smote", fail)
+    assert run_all(config) == [("SMOTE", "smote broke")]
+    assert [path.name for path in files if path.exists()] == []
 
 
 def test_non_finite_checkpoint_is_retrained(corpus_files, tmp_path):
