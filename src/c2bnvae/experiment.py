@@ -24,6 +24,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -258,6 +259,8 @@ def preprocess(config: ExperimentConfig) -> dict:
         save_dataset(dataset, path, fmt="binary", manifest=manifest)
         if config.dataset_format == "csv":  # an export that no step reads back
             save_dataset(dataset, path.with_suffix(".csv"), fmt="csv", manifest=manifest)
+        else:  # an earlier run's export would no longer match the .c2ds files
+            path.with_suffix(".csv").unlink(missing_ok=True)
 
     counts = class_counts(encoded_train)
     lines = [manifest_line(manifest)]
@@ -330,51 +333,80 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "_")
 
 
-# the rows a forked helper process runs end to end while the parent runs
-# the others; after them the helper runs the HANDED_OFF_ROW's evaluation
-# stage (tree, predict, report) on the balanced set the parent hands it.
+# the rows a forked helper process runs end to end, in this order, while
+# the parent runs the others; after them the helper claims evaluation
+# stages (tree, predict, report) from the sets the parent offers. The
+# C2BNVAE row goes first, so that the small Original tree, not the large
+# generated one, is the helper's last own stage before it claims.
 # The tracer rule: a tracer records only in the parent, so work may leave
 # the parent only if the parent still makes every call that work makes.
-# These two rows keep it (the CVAE row trains, generates and calls
-# generative_balance in the parent, and every row fits and predicts a
-# tree); an oversampler row here would hide its span.
-HELPER_ROWS = ("Original imbalanced Data", "C2BNVAE")
-# the row whose balance stage the parent runs first, before the oversampler
-# rows, and whose evaluation stage it hands to the helper through a file in
-# a private temporary directory. Its tree keeps the tracer rule because the
-# parent still fits and predicts the five oversampler rows' trees.
-HANDED_OFF_ROW = "CVAE"
+# These two rows keep it: the CVAE row trains, generates and calls
+# generative_balance in the parent, every balancer runs there, and the
+# parent evaluates the last row it balances itself, so it fits and
+# predicts at least that tree. An oversampler row here would hide its span.
+HELPER_ROWS = ("C2BNVAE", "Original imbalanced Data")
+
+
+class _Balanced(NamedTuple):
+    """A balance stage's output: row ``name``'s training set as its row
+    balances it (or not), the synthetic rows it added per class (None for
+    the original data) and the stage's wall time."""
+    name: str
+    dataset: EncodedDataset | None  # None in an offer, whose set is a file
+    synthetic_per_class: list[int] | None
+    seconds: float
 
 
 class _RowResult(NamedTuple):
-    """A row that ran: what ``_write_row`` needs to write its files."""
+    """A row that ran: what ``_write_row`` needs to write its files, and the
+    wall times and process that ``run-all -v`` logs."""
     report: EvalReport
     synthetic_per_class: list[int] | None  # None for the original data
     balanced: EncodedDataset | None  # kept only when the config saves it
+    balance_s: float
+    evaluate_s: float
+    evaluated_in: str = "parent"  # or "helper"
 
 
-def _balance(name: str, config: ExperimentConfig,
-             train_set: EncodedDataset) -> tuple[EncodedDataset, list[int] | None]:
-    """The balance stage: the training set as row ``name`` balances it (or
-    not), and the synthetic rows it added per class (None for the original
-    data)."""
+def _balance(name: str, config: ExperimentConfig, train_set: EncodedDataset) -> _Balanced:
+    """Row ``name``'s balance stage."""
+    start = time.perf_counter()
     entry = ROWS[name]
     if entry is None:
-        return train_set, None
+        return _Balanced(name, train_set, None, time.perf_counter() - start)
     balanced = entry[0](bal.BalanceRequest(
         train_set, seed=stage_seed(config.seed, f"balance.{name}")), config)
-    return balanced, (class_counts(balanced) - class_counts(train_set)).tolist()
+    return _Balanced(name, balanced, (class_counts(balanced) - class_counts(train_set)).tolist(),
+                     time.perf_counter() - start)
 
 
-def _evaluate(name: str, config: ExperimentConfig, balanced: EncodedDataset,
-              synthetic: list[int] | None, test_set: EncodedDataset) -> _RowResult:
-    """The evaluation stage: fit the tree on row ``name``'s balanced set,
-    predict the test split and evaluate; writes nothing under ``results/``."""
-    tree = dtree.fit(balanced.features, balanced.labels, config.tree_params())
+def _evaluate(stage: _Balanced, config: ExperimentConfig,
+              test_set: EncodedDataset) -> _RowResult:
+    """The evaluation stage: fit the tree on a balance stage's set, predict
+    the test split and evaluate; writes nothing under ``results/``."""
+    start = time.perf_counter()
+    tree = dtree.fit(stage.dataset.features, stage.dataset.labels, config.tree_params())
     cm = confusion(test_set.labels, dtree.predict(tree, test_set.features),
                    NUM_CATEGORIES)
-    return _RowResult(EvalReport.from_confusion(name, cm), synthetic,
-                      balanced if synthetic is not None and config.save_balanced else None)
+    keep = stage.synthetic_per_class is not None and config.save_balanced
+    return _RowResult(EvalReport.from_confusion(stage.name, cm), stage.synthetic_per_class,
+                      stage.dataset if keep else None, stage.seconds,
+                      time.perf_counter() - start)
+
+
+def _claim(path: str, stage: _Balanced, claimant: str) -> _Balanced | None:
+    """The offered set at ``path`` as ``stage``'s dataset, or None when the
+    other process claimed it first. The claim is the rename: of two
+    processes that rename one file, exactly one succeeds."""
+    claimed = f"{path}.{claimant}"
+    try:
+        os.rename(path, claimed)
+    except FileNotFoundError:
+        return None
+    try:
+        return stage._replace(dataset=load_dataset(claimed))
+    finally:
+        os.unlink(claimed)
 
 
 def _row_files(name: str, config: ExperimentConfig) -> tuple[Path, Path, Path]:
@@ -387,14 +419,16 @@ def _row_files(name: str, config: ExperimentConfig) -> tuple[Path, Path, Path]:
 
 def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
     """Write, for a balancing row, its balanced set (when the config saves
-    it) and its sidecar, and then the row's report. The report comes last,
-    so a row whose files fail to write leaves no report for
-    ``load_reports`` to find."""
+    it, and otherwise remove one an earlier run saved) and its sidecar, and
+    then the row's report. The report comes last, so a row whose files fail
+    to write leaves no report for ``load_reports`` to find."""
     balanced_path, sidecar_path, report_path = _row_files(name, config)
     manifest = manifest_for(config, "run-all")
     if row.synthetic_per_class is not None:
         if row.balanced is not None:
             save_dataset(row.balanced, balanced_path, fmt="binary", manifest=manifest)
+        else:
+            balanced_path.unlink(missing_ok=True)
         sidecar = {
             "manifest": manifest,
             "method": name,
@@ -408,25 +442,25 @@ def _write_row(name: str, row: _RowResult, config: ExperimentConfig) -> None:
 
 def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
                     train_set: EncodedDataset, test_set: EncodedDataset,
-                    conn, handoff: tuple, scratch: str, parent: int) -> None:
-    """The helper process: run ``names``, then evaluate the ``HANDED_OFF_ROW``
-    if the parent hands its balanced set over, and send the ``_RowResult``s.
+                    conn, offers: tuple, scratch: str, parent: int) -> None:
+    """The helper process: run ``names``, then claim and evaluate offered
+    sets one at a time until the parent closes the offer pipe, and send the
+    ``_RowResult``s.
 
-    ``handoff`` is the hand-off pipe's two ends, as the fork left them. Its
-    reading end yields one message, ``(path, synthetic_per_class)`` with the
-    path inside the directory ``scratch``, or ends without one when the
-    parent has nothing to hand over. The helper sends
-    only when every row succeeded; any failure, a row's own included, ends
-    it quietly with exit code 1, and the parent runs the rows itself and
-    reports the failure. SIGTERM raises here, so that an artifact write it
-    interrupts removes its temporary file. The kernel sends that SIGTERM
-    when the parent ends, however it ends (Linux ``PR_SET_PDEATHSIG``), so a
-    killed run leaves no helper running; and since the helper removes
-    ``scratch`` as it ends, none of the hand-off either.
+    ``offers`` is the offer pipe's two ends, as the fork left them. Each
+    message is ``(path, stage)``: an offered set's file, inside the
+    directory ``scratch``, and its ``_Balanced`` without the set. The helper
+    sends only when every row it ran succeeded; any failure, a row's own
+    included, ends it quietly with exit code 1, and the parent runs those
+    rows itself and reports the failure. SIGTERM raises here, so that an
+    artifact write it interrupts removes its temporary file. The kernel
+    sends that SIGTERM when the parent ends, however it ends (Linux
+    ``PR_SET_PDEATHSIG``), so a killed run leaves no helper running; and
+    since the helper removes ``scratch`` as it ends, no offered set either.
     """
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    handoff_reader, handoff_writer = handoff
-    handoff_writer.close()  # the parent's end: open here, it would keep the pipe from ending
+    offer_reader, offer_writer = offers
+    offer_writer.close()  # the parent's end: open here, it would keep the pipe from ending
     try:
         import ctypes
 
@@ -435,49 +469,64 @@ def _rows_in_helper(names: tuple[str, ...], config: ExperimentConfig,
         prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
         if os.getppid() != parent:  # the parent ended before the request
             sys.exit(1)
-        rows = {name: _evaluate(name, config, *_balance(name, config, train_set), test_set)
+        rows = {name: _evaluate(_balance(name, config, train_set), config, test_set)
                 for name in names}
-        try:
-            path, synthetic = handoff_reader.recv()
-        except EOFError:  # the parent handed nothing over
-            pass
-        else:
-            rows[HANDED_OFF_ROW] = _evaluate(HANDED_OFF_ROW, config, load_dataset(path),
-                                             synthetic, test_set)
-        conn.send(rows)
+        while True:
+            try:
+                path, stage = offer_reader.recv()
+            except EOFError:  # the parent closed the pipe: nothing is left to claim
+                break
+            stage = _claim(path, stage, "helper")
+            if stage is not None:
+                rows[stage.name] = _evaluate(stage, config, test_set)
+        conn.send({name: row._replace(evaluated_in="helper") for name, row in rows.items()})
     except BaseException:
         sys.exit(1)
     finally:
-        # the parent removes it too, unless it was killed outright; a
-        # hand-off the parent writes once it has gone fails, and the parent
-        # then fits the tree itself
+        # the parent may still claim the sets a failed helper left, so the
+        # directory goes only once the parent has closed the pipe, which
+        # happens at once when it was killed. The parent removes it too,
+        # unless it was killed outright.
+        with contextlib.suppress(BaseException):
+            while True:
+                offer_reader.recv()
         shutil.rmtree(scratch, ignore_errors=True)
 
 
 @contextlib.contextmanager
 def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
                 test_set: EncodedDataset):
-    """Run the ``HELPER_ROWS`` in a forked process while the block runs.
+    """Run the ``HELPER_ROWS`` in a forked process while the block runs,
+    with a queue of evaluation stages that both processes claim from.
 
-    Yields ``(names, hand_off, join)``: the rows the helper runs; a function
-    ``hand_off(balanced, synthetic_per_class)`` that writes the
-    ``HANDED_OFF_ROW``'s balanced set into a private temporary directory
-    and sends the helper its path, and returns False when it could not (the
-    helper has ended, or the write failed), so that the caller evaluates
-    the row itself; and a function that waits for the helper and returns
-    the ``_RowResult``s by name, or ``{}`` when the helper failed or was
-    killed. A checkpoint a failed helper left is complete, since
-    ``train_generator`` writes it after its trace, so the parent's rerun may
-    reuse it. Leaving the block without ``join`` terminates the helper and
-    reaps it; the temporary directory goes once the helper is reaped, and
-    the helper removes it too as it ends, for a parent killed outright. With
-    one usable CPU, or without those rows, nothing is forked: ``names`` is
-    empty, ``hand_off`` is None and ``join`` returns ``{}``.
+    Yields ``(names, offer, claim, join)``:
+    - the rows the helper runs;
+    - ``offer(stage)``, which writes a ``_Balanced``'s set into a private
+      temporary directory and sends the helper its path, and returns False
+      when it could not (the helper has ended, or the write failed), so
+      that the caller evaluates the row itself;
+    - ``claim()``, which returns the next offered stage that the helper has
+      not claimed first, its set read back, or None when none is left;
+    - ``join()``, which closes the offer pipe and returns the helper's
+      ``_RowResult``s by name, or ``{}`` when it failed or was killed. Call
+      it only after ``claim`` has returned None: the helper removes the
+      directory once the pipe is closed.
+    A row that neither process got back (the helper failed, or a claimed
+    set could not be read) is for the caller to rerun. A checkpoint a failed
+    helper left is complete, since ``train_generator`` writes it after its
+    trace, so that rerun may reuse it. After ``join`` the helper ends on its
+    own, and the block's end reaps it, so that its exit overlaps the
+    caller's writes; leaving the block before ``join`` returns terminates
+    it first. The temporary directory goes once the helper is reaped, and
+    the helper removes it too as it ends, for a parent killed outright.
+    With one usable CPU, or without those rows, nothing is forked: ``names``
+    is empty, ``offer`` is None, ``claim`` returns None and ``join``
+    returns ``{}``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     names = tuple(name for name in HELPER_ROWS if name in ROWS)
     if not names or cpus < 2:
-        yield (), None, lambda: {}
+        yield (), None, lambda: None, lambda: {}
         return
     import multiprocessing  # here, so that importing the CLI does not pay for it
 
@@ -486,61 +535,103 @@ def _row_helper(config: ExperimentConfig, train_set: EncodedDataset,
     # OpenBLAS shuts its threads down around a fork, so the helper inherits none.
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)  # helper -> parent: the rows
-    handoff_reader, handoff_writer = context.Pipe(duplex=False)  # parent -> helper
+    offer_reader, offer_writer = context.Pipe(duplex=False)  # parent -> helper
     scratch = tempfile.mkdtemp(prefix="c2bnvae-handoff-")
     helper = context.Process(target=_rows_in_helper,
                              args=(names, config, train_set, test_set, writer,
-                                   (handoff_reader, handoff_writer), scratch, os.getpid()))
+                                   (offer_reader, offer_writer), scratch, os.getpid()))
     helper.start()
     # close the ends this process does not use, so that reading ends once
     # the other side has closed its end or ended
     writer.close()
-    handoff_reader.close()
+    offer_reader.close()
+    offered: list[tuple[str, _Balanced]] = []  # in offer order, until claimed
+    joined = False
 
-    def hand_off(balanced: EncodedDataset, synthetic: list[int] | None) -> bool:
-        path = Path(scratch) / "balanced.c2ds"
-        # OSError: a full disk, or a helper that has ended (BrokenPipeError,
-        # or FileNotFoundError once it removed the directory)
+    def offer(stage: _Balanced) -> bool:
+        path = Path(scratch) / f"{_slug(stage.name)}.c2ds"
+        message = (str(path), stage._replace(dataset=None))
+        # OSError: a full disk, or a helper that has ended (BrokenPipeError)
         try:
-            save_dataset(balanced, path, fmt="binary")
-            handoff_writer.send((str(path), synthetic))
+            save_dataset(stage.dataset, path, fmt="binary")
+            offer_writer.send(message)
         except OSError:
+            path.unlink(missing_ok=True)
             return False
+        offered.append(message)
         return True
 
+    def claim() -> _Balanced | None:
+        while offered:
+            try:
+                stage = _claim(*offered.pop(0), "parent")
+            except (OSError, DataError):  # read by neither: the row is rerun
+                continue
+            if stage is not None:
+                return stage
+        return None
+
     def join() -> dict[str, _RowResult]:
-        handoff_writer.close()  # a helper still waiting for a set gets none
+        nonlocal joined
+        offer_writer.close()  # the helper claims no more, and may remove the directory
         try:
-            rows = reader.recv()  # read before joining: a large send blocks until read
+            # complete rows come only from a helper whose every row succeeded
+            rows = reader.recv()
         except (EOFError, OSError):  # the helper ended without sending, or mid-send
             rows = {}
-        helper.join()
-        return rows if helper.exitcode == 0 else {}
+        joined = True
+        return rows
 
     try:
-        yield names, hand_off, join
+        yield names, offer, claim, join
     finally:
         reader.close()
-        handoff_writer.close()
-        if helper.exitcode is None:
+        offer_writer.close()
+        if not joined:  # the helper may still be working: stop it
             helper.terminate()
-            helper.join()
+        helper.join()
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _outcome(name: str, config: ExperimentConfig, train_set: EncodedDataset,
-             test_set: EncodedDataset,
-             hand_off: Callable[[EncodedDataset, list[int] | None], bool] | None = None,
-             ) -> _RowResult | Exception | None:
-    """Row ``name``'s ``_RowResult``, or the exception it raised; None when
-    ``hand_off`` took its balanced set for the helper to evaluate."""
+def _outcome(stage_fn: Callable[..., _RowResult | None], *args) -> _RowResult | Exception | None:
+    """``stage_fn(*args)``, or the exception it raised."""
     try:
-        balanced, synthetic = _balance(name, config, train_set)
-        if hand_off is not None and hand_off(balanced, synthetic):
-            return None
-        return _evaluate(name, config, balanced, synthetic, test_set)
+        return stage_fn(*args)
     except Exception as exc:
         return exc
+
+
+def _run_row(name: str, config: ExperimentConfig, train_set: EncodedDataset,
+             test_set: EncodedDataset,
+             offer: Callable[[_Balanced], bool] | None = None) -> _RowResult | None:
+    """Row ``name``'s balance and evaluation stages; None when ``offer``
+    took its balanced set for either process to claim."""
+    stage = _balance(name, config, train_set)
+    if offer is not None and offer(stage):
+        return None
+    return _evaluate(stage, config, test_set)
+
+
+def _write_row_outcome(name: str, outcome: _RowResult | Exception,
+                       config: ExperimentConfig) -> EvalReport | str:
+    """Row ``name``'s files written, and its report; or, when the row or its
+    files failed, its failure text, its files (stale ones included) removed
+    and its one warning logged."""
+    if isinstance(outcome, _RowResult):
+        logger.info("%s: balanced in %.3f s, evaluated in the %s in %.3f s", name,
+                    outcome.balance_s, outcome.evaluated_in, outcome.evaluate_s)
+        try:
+            _write_row(name, outcome, config)
+            return outcome.report
+        except Exception as exc:
+            outcome = exc
+    # files an earlier run left would read as this row's success
+    for path in _row_files(name, config):
+        path.unlink(missing_ok=True)
+    # the traceback only at -v, where the log level is INFO
+    logger.warning("algorithm %s failed: %s", name, outcome,
+                   exc_info=outcome if logger.isEnabledFor(logging.INFO) else None)
+    return str(outcome)
 
 
 def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
@@ -550,47 +641,32 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     files) contributes the exception text instead of a report, and one
     warning, and leaves none of its files, stale ones included; the other rows
     still run. With two usable CPUs the ``HELPER_ROWS`` run in a forked
-    helper while the parent runs the others (``_row_helper``). The parent
-    then balances the ``HANDED_OFF_ROW`` first and hands its set to the
-    helper, which fits that row's tree after its own rows; when the hand-off
-    fails, the parent fits it itself. When the helper fails, the parent
-    reruns every row it held, reusing the checkpoints finished by then.
-    Every file under ``results/`` is written afterwards, in ``ROWS`` order,
-    by the parent alone.
+    helper while the parent balances the others in ``ROWS`` order
+    (``_row_helper``). The parent offers each balanced set but its last
+    for either process to evaluate, evaluates the last itself, and then
+    claims offered sets one at a time, as the helper does after its own
+    rows; a set whose offer fails the parent evaluates at once. When the
+    helper fails, the parent reruns every row it did not get back, reusing
+    the checkpoints finished by then. Every file under ``results/`` is
+    written afterwards, in ``ROWS`` order, by the parent alone; at -v, one
+    INFO line per row gives its stages' wall times and the process that
+    evaluated it.
     """
     train_set, test_set = load_encoded(config)
     config.results_dir().mkdir(parents=True, exist_ok=True)
-    with _row_helper(config, train_set, test_set) as (moved, hand_off, join_helper):
+    with _row_helper(config, train_set, test_set) as (moved, offer, claim, join_helper):
         parent_rows = [name for name in ROWS if name not in moved]
-        if hand_off is not None:  # balance the handed-off row first
-            parent_rows.sort(key=lambda name: name != HANDED_OFF_ROW)
-        outcomes = {name: _outcome(name, config, train_set, test_set,
-                                   hand_off if name == HANDED_OFF_ROW else None)
+        outcomes = {name: _outcome(_run_row, name, config, train_set, test_set,
+                                   offer if name != parent_rows[-1] else None)
                     for name in parent_rows}
+        while (stage := claim()) is not None:
+            outcomes[stage.name] = _outcome(_evaluate, stage, config, test_set)
         outcomes.update(join_helper())
-    for name in ROWS:
-        if outcomes.get(name) is None:  # the helper failed: the parent runs its rows
-            outcomes[name] = _outcome(name, config, train_set, test_set)
-
-    rows: list[tuple[str, EvalReport | str]] = []
-    for name in ROWS:
-        outcome = outcomes[name]
-        if isinstance(outcome, _RowResult):
-            try:
-                _write_row(name, outcome, config)
-                outcome = outcome.report
-            except Exception as exc:
-                outcome = exc
-        if isinstance(outcome, Exception):
-            # files an earlier run left would read as this row's success
-            for path in _row_files(name, config):
-                path.unlink(missing_ok=True)
-            # the traceback only at -v, where the log level is INFO
-            logger.warning("algorithm %s failed: %s", name, outcome,
-                           exc_info=outcome if logger.isEnabledFor(logging.INFO) else None)
-            outcome = str(outcome)
-        rows.append((name, outcome))
-    write_results(rows, config)
+        for name in ROWS:
+            if outcomes.get(name) is None:  # the helper failed: the parent runs the row
+                outcomes[name] = _outcome(_run_row, name, config, train_set, test_set)
+        rows = [(name, _write_row_outcome(name, outcomes[name], config)) for name in ROWS]
+        write_results(rows, config)
     return rows
 
 

@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -536,12 +537,19 @@ def load_dataset(path) -> EncodedDataset:
     """A dataset as ``save_dataset(fmt="binary")`` writes it. Any other file,
     a CSV export included, is a DataError: the pipeline reads binary only."""
     path = Path(path)
-    with open(path, "rb", buffering=0) as fh:  # unbuffered: one read of the whole file
-        if fh.read(len(DATASET_MAGIC)) != DATASET_MAGIC:
+    with open(path, "rb") as fh:
+        head = fh.read(16)  # the magic, the version and the header's length
+        if head[:len(DATASET_MAGIC)] != DATASET_MAGIC:
             raise DataError(f"{path} is not a binary dataset; rerun preprocess to "
                             f"write the encoded .c2ds files")
+        # one read of the whole file into a buffer shifted so that the blocks
+        # start on 8-byte boundaries (each starts 24 bytes, plus the header,
+        # plus whole 8-byte values in): the arrays are then views of it, and
+        # a load holds one copy of the set, not two
+        shift = -int.from_bytes(head[8:16], "little") % 8
+        buf = memoryview(np.empty(os.fstat(fh.fileno()).st_size + shift, dtype=np.uint8))
         fh.seek(0)
-        data = fh.read()
+        data = buf[shift:shift + fh.readinto(buf[shift:])]
     header, blocks = container.read(data, DATASET_MAGIC, DATASET_FORMAT_VERSION,
                                     f"{path}: dataset file")
     schema = _header_schema(header, f"{path}: dataset header")
@@ -557,7 +565,7 @@ def load_dataset(path) -> EncodedDataset:
     if labels.size != n or feats.size != n * d or d != schema.feature_dim:
         raise DataError(f"{path}: the dataset header's n={n} and feature_dim={d} do "
                         f"not match its blocks and its schema")
-    return _checked(feats.reshape(n, d).copy(), labels.astype(np.int64), schema, path)
+    return _checked(feats.reshape(n, d), labels.astype(np.int64), schema, path)
 
 
 def synthetic_schema(feature_dim: int) -> EncodingSchema:

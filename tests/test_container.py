@@ -93,9 +93,24 @@ class TestGoldenDigests:
         loaded = load_dataset(path)
         assert np.array_equal(loaded.features, tiny_dataset().features)
         assert np.array_equal(loaded.labels, tiny_dataset().labels)
-        # the loader copies out of the file buffer: the dataset's read-only
-        # view has an aligned array of its own underneath
-        assert loaded.features.base.flags.owndata and loaded.features.flags.aligned
+        # the loader reads the file into a buffer of its own, shifted so
+        # that the dataset's read-only view is aligned
+        assert loaded.features.flags.aligned and loaded.features.flags.c_contiguous
+
+
+def test_loaded_set_is_aligned_whatever_the_header_length(tmp_path):
+    # the loader shifts its buffer by the header's length: every residue
+    # mod 8 must still give aligned views of the same values
+    residues = set()
+    for pad in range(8):
+        path = tmp_path / f"pad{pad}.c2ds"
+        save_dataset(tiny_dataset(), path, fmt="binary", manifest={"pad": "x" * pad})
+        residues.add(struct.unpack_from("<Q", path.read_bytes(), 8)[0] % 8)
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.features, tiny_dataset().features)
+        assert np.array_equal(loaded.labels, tiny_dataset().labels)
+        assert loaded.features.flags.aligned and loaded.labels.flags.aligned
+    assert residues == set(range(8))
 
 
 class TestExplicitCorruption:

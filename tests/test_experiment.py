@@ -126,6 +126,17 @@ class TestPreprocess:
                          fmt="csv", manifest=manifest_for(config, "preprocess"))
             assert written["csv"][f"{split}.csv"] == path.read_bytes()
 
+    def test_binary_run_removes_an_earlier_csv_export(self, corpus_files, tmp_path):
+        # an export of other data would sit beside the .c2ds files as theirs
+        config = make_config(corpus_files, tmp_path, dataset_format="csv")
+        preprocess(config)
+        exports = [config.encoded_dir() / f"{split}.csv" for split in ("train", "test")]
+        assert all(path.exists() for path in exports)
+        config.dataset_format, config.subsample = "binary", 0.5
+        preprocess(config)
+        assert sorted(path.name for path in config.encoded_dir().iterdir()) == [
+            "counts.txt", "test.c2ds", "train.c2ds"]
+
     def test_run_all_requires_preprocess(self, corpus_files, tmp_path):
         config = make_config(corpus_files, tmp_path / "fresh")
         with pytest.raises(DataError, match="preprocess"):
@@ -395,6 +406,22 @@ def test_failed_row_removes_the_files_an_earlier_run_left(corpus_files, tmp_path
     monkeypatch.setattr(balancers, "smote", fail)
     assert run_all(config) == [("SMOTE", "smote broke")]
     assert [path.name for path in files if path.exists()] == []
+
+
+def test_unsaved_balanced_set_removes_an_earlier_runs(corpus_files, tmp_path, monkeypatch):
+    # a balanced set an earlier run saved would sit beside a sidecar and a
+    # report of another set, here one balanced with other settings
+    from c2bnvae import experiment
+
+    monkeypatch.setattr(experiment, "ROWS", {"SMOTE": ROWS["SMOTE"]})
+    config = make_config(corpus_files, tmp_path, seed=1, save_balanced=True)
+    preprocess(config)
+    run_all(config)
+    assert (config.results_dir() / "balanced_smote.c2ds").exists()
+    config.save_balanced, config.smote_k = False, 2
+    assert isinstance(dict(run_all(config))["SMOTE"], EvalReport)
+    assert sorted(path.name for path in config.results_dir().iterdir()) == [
+        "chart_data.csv", "results_table.txt", "smote.json", "smote_balance_manifest.json"]
 
 
 def test_non_finite_checkpoint_is_retrained(corpus_files, tmp_path):

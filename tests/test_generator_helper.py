@@ -1,13 +1,17 @@
-"""With two usable CPUs, ``run_all`` runs the Original and C2BNVAE rows in a
-forked helper process while the parent runs the other six, and the parent
-alone writes ``results/``. The parent balances the CVAE row first and hands
-its balanced set to the helper through a file in a private temporary
-directory, and the helper fits that row's tree after its own rows. Every
+"""With two usable CPUs, ``run_all`` runs the C2BNVAE and Original rows in a
+forked helper process while the parent balances the other six, and the
+parent alone writes ``results/``. The parent balances its rows in
+``ROWS`` order and offers each balanced set but its last (the CVAE row's)
+through a file in a private temporary directory; the helper after its
+own rows, and the parent after evaluating its last row,
+claim offered sets one at a time, and whichever claims a set first
+evaluates it. Every
 outcome must be an inline run's: the same bytes under ``encoded/``,
-``models/`` and ``results/`` under every output option, the same row texts,
-warnings and exit code when a row fails, the CVAE tree fitted in the parent
-when the hand-off fails, an inline rerun of every row the helper held when
-it fails or is killed, no temporary directory and no process left behind.
+``models/`` and ``results/`` under every output option, whichever process
+claims which set, the same row texts, warnings and exit code when a row
+fails, a row evaluated in the parent when its offer fails, an inline rerun
+of every row the helper did not send back when it fails or is killed, no
+temporary directory and no process left behind.
 
 The in-process tests choose the mode by the CPU count ``run_all`` sees:
 one usable CPU runs inline, two fork the helper. A monkeypatch made before
@@ -18,6 +22,7 @@ there stays in the helper.
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -39,6 +44,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FAST = dict(epochs=3, lr=1e-3, batch_size=64, latent_dim=8, hidden_widths=[16, 16],
             smote_k=3, borderline_m=5, kmeans_clusters=3, max_depth=6)
 PARENT = os.getpid()
+# the last row the parent balances, which it evaluates itself
+PARENT_LAST = "CVAE"
 
 
 def in_helper() -> bool:
@@ -125,6 +132,36 @@ def watch_hand_offs(monkeypatch, before=lambda path: None) -> list:
     return handed
 
 
+def record_evaluations(monkeypatch, log: Path, before=lambda stage, log: None):
+    """Record each row's evaluation stage, in either process, in the file
+    ``log``; ``before(stage, log)`` runs before each is recorded and runs.
+    Returns a function that reads the record: ``(process, row)`` pairs, in
+    the order the stages started."""
+    real_evaluate = experiment._evaluate
+
+    def evaluate(stage, *args):
+        before(stage, log)
+        with open(log, "a") as fh:  # one short appended line: no interleaving
+            fh.write(f"{'helper' if in_helper() else 'parent'}\t{stage.name}\n")
+        return real_evaluate(stage, *args)
+
+    monkeypatch.setattr(experiment, "_evaluate", evaluate)
+    return lambda: [tuple(line.split("\t")) for line in log.read_text().splitlines()]
+
+
+def wait_for(process: str, count: int):
+    """A ``before`` for ``record_evaluations`` that holds the other process's
+    evaluations until ``process`` has started ``count`` of them."""
+    def before(stage, log):
+        if ("helper" if in_helper() else "parent") == process:
+            return
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and (
+                not log.exists() or log.read_text().count(f"{process}\t") < count):
+            time.sleep(0.01)
+    return before
+
+
 def count_saves(monkeypatch) -> list:
     """The checkpoints the parent saves from here on, by file name, in a list."""
     saved = []
@@ -170,9 +207,12 @@ def test_helper_run_writes_the_inline_bytes_under_every_output_option(
     assert run(config, 2, monkeypatch) == rows
     assert len(started) == 1
     assert artifacts(out_dir) == expected
-    # one hand-off file, in a private directory that is gone again, and
-    # nothing else under the output directory
-    assert [path.parent.parent for path in handed] == [handoff_dir]
+    # the parent offered every set it balanced but its last, each in one
+    # private directory that is gone again, and wrote nothing else under
+    # the output directory
+    assert len(handed) == len(experiment.ROWS) - len(experiment.HELPER_ROWS) - 1 == 5
+    assert len({path.parent for path in handed}) == 1
+    assert handed[0].parent.parent == handoff_dir
     assert list(handoff_dir.iterdir()) == []
     assert sorted(path.name for path in out_dir.iterdir()) == ["encoded", "models", "results"]
     # the helper's C2BNVAE row sent its balanced set back to be saved; the
@@ -198,12 +238,14 @@ def test_helper_writes_nothing_under_results(corpus_files, tmp_path, monkeypatch
     monkeypatch.setattr(os, "replace", replace)
     fits = count_parent_fits(monkeypatch)
     saved = count_saves(monkeypatch)
+    evaluated = record_evaluations(monkeypatch, tmp_path / "evaluations.log")
     assert run(config, 2, monkeypatch) == rows
     assert artifacts(tmp_path) == expected
-    # nothing ran twice: the parent fitted the five oversampler rows' trees
-    # and trained only the CVAE generator, whose tree the helper fitted, so
-    # no row was rerun
-    assert len(fits) == len(experiment.ROWS) - len(experiment.HELPER_ROWS) - 1 == 5
+    # nothing ran twice: each row was evaluated once, in one process or the
+    # other, the parent fitted at least its last row's tree, and it trained
+    # only the CVAE generator, so no row was rerun
+    assert sorted(name for _, name in evaluated()) == sorted(experiment.ROWS)
+    assert ("parent", PARENT_LAST) in evaluated() and fits
     assert saved == ["cvae.ckpt"]
 
 
@@ -355,8 +397,8 @@ def test_helper_failing_after_its_checkpoint_retrains_inline(corpus_files, tmp_p
 def test_helper_failing_after_training_leaves_a_checkpoint_the_rerun_reuses(
         corpus_files, tmp_path, monkeypatch, inline):
     # the helper trains C2BNVAE, writes its trace and checkpoint, and then
-    # its second tree fit (the C2BNVAE row's; the first is the original
-    # data's) fails: the parent reruns both rows and reuses that checkpoint
+    # its second tree fit (the original data's; the first is the C2BNVAE
+    # row's) fails: the parent reruns both rows and reuses that checkpoint
     real_fit = dtree.fit
     helper_fits = []
 
@@ -408,8 +450,9 @@ def test_killed_helper_retrains_inline(corpus_files, tmp_path, monkeypatch, inli
     config = make_config(corpus_files, tmp_path)
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(tmp_path) == inline[1]
-    # killed in its second row, after the first had run: the parent reran
-    # both, so it fitted every row's tree
+    # killed while training in its first row: the parent evaluated its six
+    # rows, claiming every offered set itself, and reran both helper rows,
+    # so it fitted every row's tree
     assert len(fits) == len(experiment.ROWS)
     assert multiprocessing.active_children() == []
 
@@ -418,22 +461,23 @@ def test_hand_off_to_an_ended_helper_fits_the_row_in_the_parent(
         corpus_files, tmp_path, monkeypatch, inline, handoff_dir):
     real_fit = dtree.fit
 
-    def fit(*args):  # the helper fails in its first row
+    def fit(*args):  # the helper is killed outright in its first row
         if in_helper():
-            raise MemoryError
+            os.kill(os.getpid(), signal.SIGKILL)
         return real_fit(*args)
 
     monkeypatch.setattr(dtree, "fit", fit)
     started = count_starts(monkeypatch)
-    # the hand-off waits until the helper has ended, so its send finds the
+    # each offer waits until the helper has ended, so its send finds the
     # pipe broken
     handed = watch_hand_offs(monkeypatch, before=lambda path: started[0].join(60))
     fits = count_parent_fits(monkeypatch)
     config = make_config(corpus_files, tmp_path / "out")
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(config.out_dir) == inline[1]
-    assert len(handed) == 1 and started[0].exitcode == 1
-    # the CVAE tree, the five oversampler rows' and both helper rows' reruns
+    assert len(handed) == 5 and started[0].exitcode == -signal.SIGKILL
+    # each of the parent's six rows evaluated at once, and both helper
+    # rows' reruns
     assert len(fits) == len(experiment.ROWS)
     assert list(handoff_dir.iterdir()) == []
     assert multiprocessing.active_children() == []
@@ -450,9 +494,9 @@ def test_hand_off_that_cannot_be_written_fits_the_row_in_the_parent(
     config = make_config(corpus_files, tmp_path / "out")
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(config.out_dir) == inline[1]
-    assert len(handed) == 1
-    # the helper was told there was nothing to fit and sent its two rows:
-    # the parent fitted the CVAE tree and the five oversampler rows' only
+    assert len(handed) == 5
+    # every offer failed, so the parent evaluated each of its six rows at
+    # once, and the helper, offered nothing, sent its own two rows
     assert len(fits) == 6
     assert saved == ["cvae.ckpt"]
     assert list(handoff_dir.iterdir()) == []
@@ -468,18 +512,22 @@ def test_generator_balance_that_raises_hands_nothing_off(corpus_files, tmp_path,
         return real_train(dataset, config)
 
     monkeypatch.setattr(model, "train", train)
-    handed = watch_hand_offs(monkeypatch)
     outcomes = []
     for cpus in (1, 2):
         config = make_config(corpus_files, tmp_path / f"cpus{cpus}")
-        fits = count_parent_fits(monkeypatch)
+        handed = watch_hand_offs(monkeypatch)
+        evaluated = record_evaluations(monkeypatch, tmp_path / f"evaluations{cpus}.log")
         rows = run(config, cpus, monkeypatch)
         outcomes.append((rows, artifacts(config.out_dir)))
     assert outcomes[0] == outcomes[1]
     assert dict(outcomes[1][0])["CVAE"] == "generator broke"
-    assert handed == []
-    # the helper, told there was nothing to fit, sent its two rows
-    assert len(fits) == 5
+    # the CVAE row, whose balance stage raised, was neither offered nor
+    # evaluated, and each other row was evaluated once
+    assert sorted(path.stem for path in handed) == sorted(
+        experiment._slug(name) for name in experiment.ROWS
+        if name not in (*experiment.HELPER_ROWS, "CVAE", PARENT_LAST))
+    assert sorted(name for _, name in evaluated()) == sorted(
+        name for name in experiment.ROWS if name != "CVAE")
     assert list(handoff_dir.iterdir()) == []
 
 
@@ -488,7 +536,7 @@ def test_helper_failing_on_the_handed_off_row_reruns_every_row_it_held(
     real_fit = dtree.fit
     helper_fits = []
 
-    def fit(*args):  # the helper's third tree is the handed-off CVAE row's
+    def fit(*args):  # the helper's third tree is the first set it claimed
         if in_helper():
             helper_fits.append(1)
             if len(helper_fits) == 3:
@@ -499,16 +547,89 @@ def test_helper_failing_on_the_handed_off_row_reruns_every_row_it_held(
     handed = watch_hand_offs(monkeypatch)
     fits = count_parent_fits(monkeypatch)
     saved = count_saves(monkeypatch)
+    # the parent evaluates nothing until the helper has claimed a set
+    evaluated = record_evaluations(monkeypatch, tmp_path / "evaluations.log",
+                                   before=wait_for("helper", 3))
     config = make_config(corpus_files, tmp_path / "out")
     assert run(config, 2, monkeypatch) == inline[0]
     assert artifacts(config.out_dir) == inline[1]
-    assert len(handed) == 1
-    # the five oversampler rows, then Original, CVAE and C2BNVAE again,
-    # each generator from the checkpoint it had finished
+    assert len(handed) == 5
+    claimed = [name for process, name in evaluated()
+               if process == "helper" and name not in experiment.HELPER_ROWS]
+    assert len(claimed) == 1
+    # its last row and the four sets left to claim, then Original, C2BNVAE
+    # and the claimed row again, each generator from the checkpoint it had
+    # finished
     assert len(fits) == len(experiment.ROWS)
+    assert sorted(name for process, name in evaluated() if process == "parent") == sorted(
+        experiment.ROWS)
     assert saved == ["cvae.ckpt"]
     assert list(handoff_dir.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("claimant", ["helper", "parent"])
+def test_one_process_claims_every_offered_set(corpus_files, tmp_path, monkeypatch, inline,
+                                              handoff_dir, claimant):
+    # the other process evaluates nothing until the claimant has started
+    # every row it can: the helper its own two and the five offered sets,
+    # or the parent its last row and the same five
+    offered = len(experiment.ROWS) - len(experiment.HELPER_ROWS) - 1
+    own = len(experiment.HELPER_ROWS) if claimant == "helper" else 1
+    evaluated = record_evaluations(monkeypatch, tmp_path / "evaluations.log",
+                                   before=wait_for(claimant, own + offered))
+    fits = count_parent_fits(monkeypatch)
+    config = make_config(corpus_files, tmp_path / "out")
+    assert run(config, 2, monkeypatch) == inline[0]
+    assert artifacts(config.out_dir) == inline[1]
+    # every row evaluated exactly once across the two processes, and the
+    # parent fitted at least its last row's tree
+    assert sorted(name for _, name in evaluated()) == sorted(experiment.ROWS)
+    by = {process: sorted(name for p, name in evaluated() if p == process)
+          for process in ("parent", "helper")}
+    assert len(by[claimant]) == own + offered
+    assert by["parent" if claimant == "helper" else "helper"] == sorted(
+        [PARENT_LAST] if claimant == "helper" else experiment.HELPER_ROWS)
+    assert len(fits) >= 1
+    assert list(handoff_dir.iterdir()) == []
+
+
+# preprocess + run-all -v through the CLI with two usable CPUs
+VERBOSE = """
+import os
+import sys
+
+from c2bnvae.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(main(["-v", "run-all", "--config", sys.argv[1]]))
+"""
+ROW_LINE = re.compile(r"INFO c2bnvae\.experiment: (.+): balanced in \d+\.\d{3} s, "
+                      r"evaluated in the (parent|helper) in \d+\.\d{3} s")
+
+
+def test_verbose_run_logs_each_row_and_writes_the_same_results(corpus_files, tmp_path,
+                                                                inline):
+    config = make_config(corpus_files, tmp_path / "out")
+    preprocess(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    done = subprocess.run([sys.executable, "-c", VERBOSE, str(path)],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    logged = [match.groups() for match in map(ROW_LINE.fullmatch, done.stderr.splitlines())
+              if match]
+    # one line per row, in ROWS order, naming the process that evaluated it
+    assert [name for name, _ in logged] == list(experiment.ROWS)
+    processes = dict(logged)
+    assert [processes[name] for name in experiment.HELPER_ROWS] == ["helper", "helper"]
+    assert processes[PARENT_LAST] == "parent"
+    # the wall times went to the log alone
+    results = {name: raw for name, raw in artifacts(config.out_dir).items()
+               if name.startswith("results/")}
+    assert results == {name: raw for name, raw in inline[1].items()
+                       if name.startswith("results/")}
 
 
 def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
@@ -531,7 +652,7 @@ def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monk
     real_save = experiment.save_checkpoint
 
     def save_checkpoint(ckpt, path, manifest):  # the helper stalls mid-write
-        if not in_helper():  # the parent's CVAE checkpoint, before its smote
+        if not in_helper():  # only the helper stalls
             return real_save(ckpt, path, manifest)
         with atomic_write(path, "wb") as fh:
             fh.write(b"half a checkpoint")
@@ -552,11 +673,11 @@ def test_interrupted_run_stops_the_helper_mid_write(corpus_files, tmp_path, monk
     assert time.monotonic() - started < 60  # terminated, not waited for
     assert multiprocessing.active_children() == []
     # the helper left its finished trace, removed the checkpoint's temporary
-    # file, and said nothing; the parent finished the CVAE generator first
-    assert sorted(path.name for path in models.iterdir()) == [
-        "c2bnvae_trace.csv", "cvae.ckpt", "cvae_trace.csv"]
+    # file, and said nothing; the parent, in ROWS order, had not reached the
+    # CVAE generator
+    assert sorted(path.name for path in models.iterdir()) == ["c2bnvae_trace.csv"]
     assert capfd.readouterr().err == ""
-    assert list(handoff_dir.iterdir()) == []  # the CVAE set handed off before smote
+    assert list(handoff_dir.iterdir()) == []  # the sets offered before smote
 
 
 # run_all with two usable CPUs, whose helper writes its pid and stalls
@@ -608,7 +729,7 @@ def test_helper_ends_with_a_killed_parent(corpus_files, tmp_path):
     try:
         # kill once the helper has started and the parent has handed off
         deadline = time.monotonic() + 120
-        while not (pid_file.exists() and list(scratch.glob("*/balanced.c2ds"))):
+        while not (pid_file.exists() and list(scratch.glob("*/*.c2ds"))):
             assert parent.poll() is None and time.monotonic() < deadline
             time.sleep(0.02)
         helper = int(pid_file.read_text())
