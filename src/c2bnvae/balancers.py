@@ -74,8 +74,17 @@ def _balance(request: BalanceRequest, fill) -> EncodedDataset:
 
 def _sq_dists(queries: Array, points: Array) -> Array:
     # ||a-b||^2 via the dot-product expansion; clip tiny negatives from rounding
-    d2 = (np.sum(queries**2, axis=1)[:, None] + np.sum(points**2, axis=1)[None, :]
-          - 2.0 * queries @ points.T)
+    return _expanded_sq_dists(np.sum(queries**2, axis=1)[:, None], 2.0 * queries,
+                              points)
+
+
+def _expanded_sq_dists(query_norms: Array, twice_queries: Array,
+                       points: Array) -> Array:
+    """``_sq_dists`` from its query terms, ``sum(q**2)`` as a column and
+    ``2.0 * q``, so that a caller who measures the same queries against
+    many point sets computes them once."""
+    d2 = (query_norms + np.sum(points**2, axis=1)[None, :]
+          - twice_queries @ points.T)
     return np.maximum(d2, 0.0)
 
 
@@ -128,9 +137,11 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator) -> Array:
     """Seeded k-means++ assignment over rows; returns cluster index per row."""
     n = len(points)
     n_clusters = min(n_clusters, n)
+    # the rows' terms of every distance below, computed once
+    norms, twice = np.sum(points**2, axis=1)[:, None], 2.0 * points
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1])[:, 0]
+    d2 = _expanded_sq_dists(norms, twice, centers[:1])[:, 0]
     for j in range(1, n_clusters):
         total = d2.sum()
         if total <= 0:
@@ -140,10 +151,10 @@ def _kmeans(points: Array, n_clusters: int, rng: np.random.Generator) -> Array:
             if pick == n:  # the rounded cumsum ended below the draw
                 pick = np.flatnonzero(d2)[-1]
             centers[j] = points[pick]
-        d2 = np.minimum(d2, _sq_dists(points, centers[j:j + 1])[:, 0])
+        d2 = np.minimum(d2, _expanded_sq_dists(norms, twice, centers[j:j + 1])[:, 0])
     assign = np.full(n, -1, dtype=np.int64)
     for _iteration in range(KMEANS_MAX_ITER):
-        new_assign = np.argmin(_sq_dists(points, centers), axis=1)
+        new_assign = np.argmin(_expanded_sq_dists(norms, twice, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

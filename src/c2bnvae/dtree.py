@@ -105,8 +105,9 @@ def _search(columns: Array, labels: Array, order: Array, counts: Array,
 
     ``columns`` is features transposed ([F x N]); row f of ``order`` lists
     the node's m rows (indices into N) by ascending value of column f.
-    ``counts`` is the node's class histogram, as long as its largest label
-    + 1. Returns (column row in ``columns``, threshold, gain) or None.
+    ``labels`` is read at the node's rows only, and ``counts`` is their
+    class histogram, as long as their largest label + 1. Returns (column
+    row in ``columns``, threshold, gain) or None.
     """
     n = order.shape[1]
     counts = counts.astype(np.float64)
@@ -215,6 +216,8 @@ def fit(features: Array, labels: Array, params: TreeParams | None = None) -> Tre
     for rows in _blocks(*columns.shape):
         order[rows] = np.argsort(columns[rows], axis=1, kind="stable")
     go_left = np.zeros(n, dtype=bool)  # scratch, valid on the current node's rows
+    codes = np.zeros(n, dtype=np.int64)  # scratch, likewise: compacted labels
+    code_of = np.zeros(classes, dtype=np.int64)  # scratch: class -> its code
     # explicit stack: trees on memorization-grade data outgrow the recursion limit
     stack: list[tuple[TreeNode, Array, int]] = [(root, order, 0)]
     while stack:
@@ -226,8 +229,17 @@ def fit(features: Array, labels: Array, params: TreeParams | None = None) -> Tre
         present = np.flatnonzero(node.histogram)
         if present.size <= 1:
             continue  # pure node
-        found = _search(columns, labels, order, node.histogram[:present[-1] + 1],
-                        params.min_gain)
+        node_labels, counts = labels, node.histogram[:present[-1] + 1]
+        if present.size < len(counts) < 8:
+            # the node lacks a class below its largest: number the classes it
+            # holds 0, 1, ... and search with those. An absent class only adds
+            # exact +0.0 terms to _class_sum's in-order sums, so the gains keep
+            # their bits; from 8 classes np.sum adds pairwise and a dropped
+            # term would change the rounding
+            code_of[present] = np.arange(present.size)
+            codes[order[0]] = code_of[labels[order[0]]]
+            node_labels, counts = codes, node.histogram[present]
+        found = _search(columns, node_labels, order, counts, params.min_gain)
         if found is None:
             continue
         column, threshold, _gain = found

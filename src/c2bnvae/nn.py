@@ -33,16 +33,25 @@ def leaky_relu(x: Array, slope: float) -> tuple[Array, Array]:
 
     The multiplier is also the local gradient, so a backward pass keeps it
     and computes ``g * multiplier`` instead of comparing ``x`` again.
+
+    ``slope`` must lie in [0, 1]. The multiplier is then the larger of the
+    comparison (1.0 or 0.0) and ``slope``, which gives the bits of
+    ``np.where(x >= 0.0, 1.0, slope)`` (NaN compares false and gets
+    ``slope``) without its per-element branch.
     """
-    multiplier = np.where(x >= 0.0, 1.0, slope)
+    multiplier = np.maximum(x >= 0.0, slope)
     return x * multiplier, multiplier
 
 
 def sigmoid(x: Array) -> Array:
     """Logistic function, in a split form that cannot overflow ``exp``:
-    1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|)."""
+    1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|).
+
+    Since 0 <= e <= 1, the numerator is the larger of e and the comparison
+    (1.0 or 0.0): the bits of ``np.where(x >= 0, 1.0, e)`` without its
+    per-element branch (at NaN, e is NaN and ``np.maximum`` keeps it)."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid_grad(g: Array, y: Array) -> Array:

@@ -7,7 +7,10 @@ from c2bnvae.balancers import (BalanceRequest, borderline_smote,
                                random_oversample, smote, svm_smote)
 from c2bnvae.errors import ConvergenceError, DataError
 from c2bnvae.model import ModelConfig, generate, train
-from c2bnvae.nslkdd import EncodedDataset, class_counts, synthetic_schema
+from c2bnvae.nslkdd import (EncodedDataset, class_counts, default_taxonomy,
+                            fit_schema, read_records, synthetic_schema, transform)
+
+import corpus
 
 
 def toy_dataset(features, labels) -> EncodedDataset:
@@ -249,6 +252,73 @@ class TestBorderline:
         out = borderline_smote(BalanceRequest(data, seed=7), k=2, m=4)
         counts = class_counts(out)[:2]
         assert counts[0] == counts[1]
+
+
+def kmeans_oracle(points, n_clusters, rng):
+    """``_kmeans`` as it was: ``_sq_dists`` at every seeding and Lloyd step,
+    the rows' squared norms and doubled values recomputed each time."""
+    n = len(points)
+    n_clusters = min(n_clusters, n)
+    centers = np.empty((n_clusters, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = balancers._sq_dists(points, centers[:1])[:, 0]
+    for j in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = points[rng.integers(n)]
+        else:
+            pick = np.searchsorted(np.cumsum(d2 / total), rng.random())
+            if pick == n:
+                pick = np.flatnonzero(d2)[-1]
+            centers[j] = points[pick]
+        d2 = np.minimum(d2, balancers._sq_dists(points, centers[j:j + 1])[:, 0])
+    assign = np.full(n, -1, dtype=np.int64)
+    for _iteration in range(balancers.KMEANS_MAX_ITER):
+        new_assign = np.argmin(balancers._sq_dists(points, centers), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(n_clusters):
+            members = points[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return assign
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["1x", "3x"])
+def corpus_features(request, tmp_path_factory):
+    """The encoded training split of the test corpus at seed 1, both class
+    mixes scaled by 1 or 3."""
+    scale = request.param
+    train_path, test_path = corpus.write_corpus(
+        tmp_path_factory.mktemp(f"kmeans{scale}x"), seed=1,
+        train_mix={k: v * scale for k, v in corpus.TRAIN_MIX.items()},
+        test_mix={k: v * scale for k, v in corpus.TEST_MIX.items()})
+    train, test = read_records(train_path), read_records(test_path)
+    schema = fit_schema(train, extra_vocab_records=test, pad_to=123)
+    return transform(train, schema, default_taxonomy()).features
+
+
+class TestKmeans:
+    @staticmethod
+    def assert_same_as_oracle(points, n_clusters, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = balancers._kmeans(points, n_clusters, rng)
+        assert np.array_equal(got, kmeans_oracle(points, n_clusters, oracle_rng))
+        assert rng.random() == oracle_rng.random()  # the same draws were taken
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_corpus_assignments_equal_the_per_step_formula(self, corpus_features, seed):
+        self.assert_same_as_oracle(corpus_features, 8, seed)
+
+    @pytest.mark.parametrize("n_clusters", [3, 6, 9, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_duplicate_rows_and_clusters_past_the_distinct_rows(self, n_clusters, seed):
+        # 6 distinct rows, each 5 times: from 6 clusters on, seeding runs out
+        # of rows at a positive distance and draws uniformly instead
+        distinct = np.random.default_rng(seed).random((6, 4))
+        points = np.repeat(distinct, 5, axis=0)[np.random.default_rng(0).permutation(30)]
+        self.assert_same_as_oracle(points, n_clusters, seed)
 
 
 class TestKmeansSmote:

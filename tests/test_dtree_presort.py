@@ -115,3 +115,71 @@ def test_random_small_matrices(data):
     assert_same_tree(features, labels, params)
     assert (best_split(features, labels, params)
             == reference_best_split(features, labels, params))
+
+
+def inner_nodes_missing_a_class(tree):
+    """Inner nodes whose histogram lacks a class below their largest one:
+    the nodes ``fit`` searches with their classes renumbered."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        present = np.flatnonzero(node.histogram)
+        if present.size < present[-1] + 1:
+            found.append(node)
+        stack += [node.left, node.right]
+    return found
+
+
+def bands_without_class_2(seed=5):
+    """Class 2 alone at x0 = 0; classes 0, 1, 3, 4 at x0 = 1 in noisy bands
+    of x1, so the root's right child and the nodes under it lack class 2."""
+    rng = np.random.default_rng(seed)
+    n_rest = 160
+    x1 = rng.random(n_rest)
+    rest = np.array([0, 1, 3, 4])[np.minimum((x1 * 4).astype(int), 3)]
+    noisy = rng.random(n_rest) < 0.15
+    rest[noisy] = rng.choice([0, 1, 3, 4], size=int(noisy.sum()))
+    features = np.vstack([np.column_stack([np.zeros(80), rng.random(80), rng.random(80)]),
+                          np.column_stack([np.ones(n_rest), x1, rng.random(n_rest)])])
+    labels = np.concatenate([np.full(80, 2), rest])
+    return features, labels
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=PARAM_IDS)
+def test_inner_nodes_that_lose_a_middle_class(params):
+    features, labels = bands_without_class_2()
+    assert_same_tree(features, labels, params)
+    if params.max_depth != 0:
+        assert inner_nodes_missing_a_class(fit(features, labels, params))
+
+
+@pytest.mark.parametrize("classes, seed", [(8, 56), (10, 37), (8, 74), (10, 45)])
+def test_eight_classes_and_more_are_searched_uncompacted(classes, seed):
+    # np.sum adds 8 or more class terms pairwise, so dropping an absent
+    # class's +0.0 would round the gains otherwise; with these seeds a search
+    # that compacted such nodes too grows a different tree
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    width = int(rng.integers(1, 5))
+    features = rng.integers(0, 4, size=(n, width)).astype(np.float64)
+    labels = rng.integers(0, classes, size=n)
+    tree = fit(features, labels)
+    assert any(np.flatnonzero(node.histogram)[-1] + 1 >= 8
+               for node in inner_nodes_missing_a_class(tree))
+    assert export_text(tree) == export_text(reference_fit(features, labels))
+
+
+def test_min_gain_gate_on_a_node_that_lacks_a_class():
+    features, labels = bands_without_class_2()
+    right = features[:, 0] == 1.0  # the root's right child holds classes 0, 1, 3, 4
+    _, _, gain = reference_best_split(features[right], labels[right])
+    # a gain equal to min_gain is refused, one float above it is accepted
+    at_gate = fit(features, labels, TreeParams(min_gain=gain))
+    below_gate = fit(features, labels, TreeParams(min_gain=float(np.nextafter(gain, 0.0))))
+    assert at_gate.feature == 0 and at_gate.threshold == 0.5
+    assert at_gate.right.is_leaf and not below_gate.right.is_leaf
+    for tree, min_gain in ((at_gate, gain), (below_gate, float(np.nextafter(gain, 0.0)))):
+        reference = reference_fit(features, labels, TreeParams(min_gain=min_gain))
+        assert export_text(tree) == export_text(reference)

@@ -272,7 +272,12 @@ def test_cbn_affine_gradients_equal_a_scatter_add(case):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(signed(st.floats(0.0, 1e300)), GRADIENT_VALUES),
                 min_size=1, max_size=40),
-       st.sampled_from([0.0, 0.01, 0.2, 0.7]))
+       st.sampled_from([0.0, 0.01, 0.2, 0.7, 1.0]))
+@example([(np.nan, 1.0), (-np.nan, -1.0), (np.inf, 2.0), (-np.inf, -2.0),
+          (0.0, 3.0), (-0.0, -3.0), (5e-324, 1e-20), (-5e-324, -1e-20),
+          (800.0, 0.0), (-800.0, -0.0)], 0.01)
+@example([(np.nan, -0.0), (np.inf, 1e20), (-0.0, 1.0), (-5e-324, 1.0)], 0.0)
+@example([(np.nan, 1.0), (-np.inf, 1.0), (-0.0, -1.0), (-5e-324, 1.0)], 1.0)
 def test_leaky_relu_multiplier_equals_the_recomputed_gradient(pairs, slope):
     x, g = (np.array(column) for column in zip(*pairs))
     out, multiplier = leaky_relu(x, slope)
@@ -284,6 +289,8 @@ def test_leaky_relu_multiplier_equals_the_recomputed_gradient(pairs, slope):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(signed(st.floats(0.0, 800.0)), min_size=1, max_size=40))
 @example([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 36.0, -745.2])
+@example([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+          800.0, -800.0])
 def test_sigmoid_equals_the_three_exp_form(values):
     x = np.array(values)
     three_exp = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
