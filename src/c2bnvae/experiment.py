@@ -236,8 +236,11 @@ def preprocess(config: ExperimentConfig) -> dict:
         taxonomy = load_taxonomy(config.taxonomy_path)
     else:
         taxonomy = default_taxonomy()
+    started = time.perf_counter()
     train_records = read_records(config.train_path)
     test_records = read_records(config.test_path)
+    read_s = time.perf_counter() - started
+    read_counts = len(train_records), len(test_records)
     if config.subsample < 1.0:
         subsampled = []
         for name, records in (("train", train_records), ("test", test_records)):
@@ -250,17 +253,26 @@ def preprocess(config: ExperimentConfig) -> dict:
                         pad_to=config.pad_to)
     encoded_train = transform(train_records, schema, taxonomy)
     encoded_test = transform(test_records, schema, taxonomy)
+    encode_s = time.perf_counter() - started - read_s
 
     out = config.encoded_dir()
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_for(config, "preprocess")
     train_file, test_file = config.encoded_paths()
+    binary_s = export_s = 0.0
     for dataset, path in ((encoded_train, train_file), (encoded_test, test_file)):
+        lap = time.perf_counter()
         save_dataset(dataset, path, fmt="binary", manifest=manifest)
+        binary_s += time.perf_counter() - lap
+        lap = time.perf_counter()
         if config.dataset_format == "csv":  # an export that no step reads back
             save_dataset(dataset, path.with_suffix(".csv"), fmt="csv", manifest=manifest)
         else:  # an earlier run's export would no longer match the .c2ds files
             path.with_suffix(".csv").unlink(missing_ok=True)
+        export_s += time.perf_counter() - lap
+    logger.info("preprocess: read %d + %d records in %.3f s, encoded in %.3f s, "
+                "wrote binary in %.3f s, exported CSV in %.3f s",
+                *read_counts, read_s, encode_s, binary_s, export_s)
 
     counts = class_counts(encoded_train)
     lines = [manifest_line(manifest)]
@@ -276,7 +288,13 @@ def load_encoded(config: ExperimentConfig) -> tuple[EncodedDataset, EncodedDatas
     if not train_file.exists() or not test_file.exists():
         raise DataError(f"encoded datasets not found under {config.encoded_dir()}; "
                         f"run preprocess first")
-    return load_dataset(train_file), load_dataset(test_file)
+    train_set, test_set = load_dataset(train_file), load_dataset(test_file)
+    # a preprocess that stopped between its two writes leaves a new train
+    # split beside an older test split, each encoded by its own schema
+    if train_set.schema.fingerprint != test_set.schema.fingerprint:
+        raise DataError(f"{train_file} and {test_file} were encoded with different "
+                        f"schemas, by two preprocess runs; rerun preprocess")
+    return train_set, test_set
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ DATASET_FORMAT_VERSION = 1
 DATASET_MAGIC = b"C2DS"
 DATASET_FORMATS = ("binary", "csv")
 CSV_BLOCK = 1024  # rows the CSV writer formats together
+_ZERO_BITS, _ONE_BITS = np.array([0.0, 1.0]).view(np.uint64)  # -0.0 has its own
 
 FEATURE_NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -499,16 +500,27 @@ def _csv_column_names(feature_dim: int) -> str:
 def _csv_rows(labels: Array, features: Array) -> str:
     """CSV lines of a block of rows, with each float written as its repr.
 
-    Each distinct 64-bit pattern is formatted once: patterns, not values,
-    so that -0.0 keeps its own text apart from 0.0.
+    A cell's text follows its 64-bit pattern, not its value, so that -0.0
+    keeps its own text apart from 0.0. The patterns of 0.0 and 1.0, which
+    most encoded cells hold, take fixed texts; only the other patterns are
+    sorted by ``np.unique``, and each distinct one is formatted once. Each
+    text carries the separator that follows it, so the block is one join.
     """
-    patterns, inverse = np.unique(np.ascontiguousarray(features, dtype=np.float64)
-                                  .view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
-    cells = np.empty((features.shape[0], features.shape[1] + 1), dtype=object)
-    cells[:, 0] = [str(label) for label in labels.tolist()]
-    cells[:, 1:] = text[inverse.reshape(features.shape)]
-    return "".join(",".join(row) + "\r\n" for row in cells.tolist())
+    n, d = features.shape
+    bits = np.ascontiguousarray(features, dtype=np.float64).view(np.uint64)
+    is_one = bits == _ONE_BITS
+    rest = ~is_one & (bits != _ZERO_BITS)
+    patterns, inverse = np.unique(bits[rest], return_inverse=True)
+    codes = is_one.astype(np.intp)  # 0 for 0.0, 1 for 1.0, then the rest's patterns
+    codes[rest] = inverse + 2
+    texts = ["0.0", "1.0"] + [repr(v) for v in patterns.view(np.float64).tolist()]
+    cells = np.empty((n, d + 1), dtype=object)
+    label_end = "," if d else "\r\n"
+    cells[:, 0] = [f"{label}{label_end}" for label in labels.tolist()]
+    if d:
+        cells[:, 1:d] = np.array([t + "," for t in texts], dtype=object)[codes[:, :-1]]
+        cells[:, d] = np.array([t + "\r\n" for t in texts], dtype=object)[codes[:, -1]]
+    return "".join(cells.ravel().tolist())
 
 
 def _header_schema(header, what: str) -> EncodingSchema:

@@ -83,6 +83,25 @@ class TestExitCodes:
     def test_run_all_without_preprocess_is_two(self, tmp_path):
         assert main(["run-all", "--out-dir", str(tmp_path)]) == EXIT_DATA
 
+    def test_splits_from_two_preprocess_runs_are_two(self, tmp_path, capsys):
+        # a preprocess stopped between its two writes leaves its new train
+        # split beside an earlier run's test split; both are 123 wide
+        outs = []
+        for seed in (1, 2):
+            (tmp_path / f"corpus{seed}").mkdir()
+            train, test = corpus.write_corpus(tmp_path / f"corpus{seed}", seed=seed)
+            outs.append(tmp_path / f"exp{seed}")
+            assert main(["preprocess", "--train", str(train), "--test", str(test),
+                         "--out-dir", str(outs[-1]), "--seed", "3"]) == EXIT_OK
+        stale, fresh = (out / "encoded" / "train.c2ds" for out in outs)
+        shutil.copyfile(fresh, stale)
+        capsys.readouterr()
+        assert main(["run-all", "--out-dir", str(outs[0]), *FAST_FLAGS]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "different schemas" in err and "rerun preprocess" in err
+        assert "Traceback" not in err
+        assert not (outs[0] / "results").exists()
+
     def test_missing_taxonomy_is_two(self, corpus_files, tmp_path):
         train, test = corpus_files
         rc = main(["preprocess", "--train", str(train), "--test", str(test),

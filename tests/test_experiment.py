@@ -137,6 +137,19 @@ class TestPreprocess:
         assert sorted(path.name for path in config.encoded_dir().iterdir()) == [
             "counts.txt", "test.c2ds", "train.c2ds"]
 
+    @pytest.mark.parametrize("fmt", DATASET_FORMATS)
+    def test_stage_times_are_logged(self, corpus_files, tmp_path, caplog, fmt):
+        config = make_config(corpus_files, tmp_path, dataset_format=fmt, subsample=0.5)
+        with caplog.at_level(logging.INFO, logger="c2bnvae.experiment"):
+            preprocess(config)
+        [line] = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        # the records read, before the subsample
+        counts = sum(corpus.TRAIN_MIX.values()), sum(corpus.TEST_MIX.values())
+        assert re.fullmatch(
+            rf"preprocess: read {counts[0]} \+ {counts[1]} records in \d+\.\d{{3}} s, "
+            r"encoded in \d+\.\d{3} s, wrote binary in \d+\.\d{3} s, "
+            r"exported CSV in \d+\.\d{3} s", line)
+
     def test_run_all_requires_preprocess(self, corpus_files, tmp_path):
         config = make_config(corpus_files, tmp_path / "fresh")
         with pytest.raises(DataError, match="preprocess"):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import struct
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -405,23 +406,80 @@ class TestDatasetIO:
         check()
 
     def test_csv_bytes_are_csv_writers(self, fitted, tmp_path, monkeypatch):
+        # every byte of the export is what csv.writer writes for the label
+        # and each float's repr; a cell's text follows its bit pattern, so
+        # -0.0 and NaN keep theirs
         _, _, encoded = fitted
-        features = encoded.features[:7].copy()
-        features[0, :4] = [-0.0, 0.0, 1e-300, 0.1 + 0.2]
-        features[5, -1] = -0.0
-        dataset = EncodedDataset(features=features, labels=encoded.labels[:7],
-                                 schema=encoded.schema)
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
-        for label, row in zip(dataset.labels, features):
-            writer.writerow([int(label), *map(repr, row.tolist())])
-        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 3)  # three blocks, the last short
+        monkeypatch.setattr(nslkdd, "CSV_BLOCK", 3)  # rows cross block boundaries
         path = tmp_path / "train.csv"
-        save_dataset(dataset, path, fmt="csv")
-        head, body = path.read_bytes().split(b"\n", 1)
-        assert head.startswith(b"# {")
-        assert body == buf.getvalue().encode()
+        edges = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, np.nan, -np.nan]
+        values = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0), st.floats())
+        corpus_rows = encoded.features[:7].copy()
+        corpus_rows[0, :4] = [-0.0, 0.0, 1e-300, 0.1 + 0.2]
+        corpus_rows[5, -1] = -0.0
+
+        @st.composite
+        def datasets(draw):
+            n, d = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+            return (draw(arrays(np.float64, (n, d), elements=values)),
+                    draw(arrays(np.int64, n, elements=st.integers(0, NUM_CATEGORIES - 1))))
+
+        @settings(max_examples=100, deadline=None)
+        @given(datasets())
+        @example((np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))
+        @example((np.zeros((4, 0)), np.array([0, 4, 2, 1])))
+        @example((np.zeros((0, 0)), np.zeros(0, dtype=np.int64)))
+        @example((np.array([edges] * 4), np.array([4, 0, 3, 1])))
+        @example((corpus_rows, encoded.labels[:7]))
+        def check(drawn):
+            features, labels = drawn
+            schema = (encoded.schema if features is corpus_rows
+                      else synthetic_schema(features.shape[1]))
+            save_dataset(EncodedDataset(features, labels, schema), path, fmt="csv",
+                         manifest={"seed": 1})
+            meta = {"format_version": DATASET_FORMAT_VERSION,
+                    "schema": schema.to_dict(), "manifest": {"seed": 1}}
+            buf = io.StringIO(newline="")
+            buf.write("# " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+            writer = csv.writer(buf)
+            writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
+            for label, row in zip(labels.tolist(), features.tolist()):
+                writer.writerow([label, *map(repr, row)])
+            assert path.read_bytes() == buf.getvalue().encode()
+
+        check()
+
+    def test_csv_export_reads_back_to_the_binary_bits(self, corpus_files, tmp_path):
+        # the whole corpus, more rows than one block: the row-by-row
+        # csv.reader oracle reads the export back to the .c2ds file's bits
+        train, test = corpus_files
+        config = ExperimentConfig(train_path=str(train), test_path=str(test),
+                                  out_dir=str(tmp_path), dataset_format="csv")
+        preprocess(config)
+        binary = load_dataset(config.encoded_paths()[0])
+        assert len(binary) > nslkdd.CSV_BLOCK
+        exported = reference.load_csv_dataset(config.encoded_paths()[0].with_suffix(".csv"))
+        assert exported.schema == binary.schema
+        assert exported.labels.tolist() == binary.labels.tolist()
+        assert exported.features.tobytes() == binary.features.tobytes()
+
+    def test_csv_export_holds_one_block_at_a_time(self, fitted, tmp_path):
+        # exporting eight blocks of rows peaks no higher than one block
+        # does, give or take: formatting the whole set at once would hold
+        # every value of it as a Python string
+        _, _, encoded = fitted
+        peaks = []
+        for blocks in (1, 8):
+            rows = np.resize(np.arange(len(encoded)), blocks * nslkdd.CSV_BLOCK)
+            dataset = EncodedDataset(encoded.features[rows], encoded.labels[rows],
+                                     encoded.schema)
+            tracemalloc.start()
+            try:
+                save_dataset(dataset, tmp_path / f"{blocks}.csv", fmt="csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_truncated_binary_rejected(self, fitted, tmp_path):
         _, _, encoded = fitted
