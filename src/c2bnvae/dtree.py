@@ -56,15 +56,26 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
+    # walked with explicit stacks, as fit grows them: a tree deeper than the
+    # recursion limit must still report itself
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        deepest, stack = 0, [(self, 0)]
+        while stack:
+            node, level = stack.pop()
+            if node.is_leaf:
+                deepest = max(deepest, level)
+            else:
+                stack += [(node.left, level + 1), (node.right, level + 1)]
+        return deepest
 
     def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        count, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if not node.is_leaf:
+                stack += [node.left, node.right]
+        return count
 
 
 def best_split(features: Array, labels: Array,
@@ -177,13 +188,21 @@ def _class_sum(a: Array) -> Array:
     return total
 
 
-def fit(features: Array, labels: Array, params: TreeParams | None = None) -> TreeNode:
+def fit(features: Array, labels: Array, params: TreeParams | None = None,
+        queries: Array | None = None) -> TreeNode:
     """Grow a tree by splitting nodes until the stop conditions hold.
 
     Each column is sorted once, at the root, into one int32 order matrix
     (features x positions). A node owns a range of positions, its rows
     sorted by each feature; a stable in-place partition of that range hands
     each child its rows still sorted, so no node sorts again.
+
+    With ``queries`` (rows as wide as ``features``), only the nodes that
+    some query row reaches are grown: the query rows go down with the
+    training rows, by ``predict``'s ``value <= threshold``, and a node that
+    none reaches stays a leaf. A node's split depends on its own training
+    rows alone, so every reached node splits as in the full tree, and
+    ``predict(tree, queries)`` equals the full tree's.
     """
     params = params or TreeParams()
     features = np.asarray(features, dtype=np.float64)
@@ -199,6 +218,13 @@ def fit(features: Array, labels: Array, params: TreeParams | None = None) -> Tre
         raise DataError(f"labels must be nonnegative, got {int(labels.min())}")
     if not np.all(np.isfinite(features)):
         raise DataError("features must be finite (no NaN or infinity)")
+    if queries is not None:
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2:
+            raise ShapeError(f"queries must be 2-D, got shape {queries.shape}")
+        if queries.shape[1] != features.shape[1]:
+            raise ShapeError(f"tree is fit on {features.shape[1]}-wide rows, "
+                             f"got {queries.shape[1]}-wide queries")
     classes = int(labels.max()) + 1
 
     def make_leaf(idx: Array) -> TreeNode:
@@ -218,10 +244,15 @@ def fit(features: Array, labels: Array, params: TreeParams | None = None) -> Tre
     go_left = np.zeros(n, dtype=bool)  # scratch, valid on the current node's rows
     codes = np.zeros(n, dtype=np.int64)  # scratch, likewise: compacted labels
     code_of = np.zeros(classes, dtype=np.int64)  # scratch: class -> its code
+    # the query rows at each node: every row at the root, or None for all
+    # nodes when there are no queries
+    reach = None if queries is None else np.arange(queries.shape[0])
     # explicit stack: trees on memorization-grade data outgrow the recursion limit
-    stack: list[tuple[TreeNode, Array, int]] = [(root, order, 0)]
+    stack: list[tuple[TreeNode, Array, int, Array | None]] = [(root, order, 0, reach)]
     while stack:
-        node, order, depth = stack.pop()
+        node, order, depth, reach = stack.pop()
+        if reach is not None and reach.size == 0:
+            continue  # no query row gets here
         if params.max_depth is not None and depth >= params.max_depth:
             continue
         if order.shape[1] < params.min_samples_split:
@@ -250,8 +281,12 @@ def fit(features: Array, labels: Array, params: TreeParams | None = None) -> Tre
         left_order, right_order = order[:, :n_left], order[:, n_left:]
         node.left = make_leaf(left_order[0])
         node.right = make_leaf(right_order[0])
-        stack.append((node.left, left_order, depth + 1))
-        stack.append((node.right, right_order, depth + 1))
+        left_reach = right_reach = None
+        if reach is not None:
+            goes_left = queries[reach, node.feature] <= threshold
+            left_reach, right_reach = reach[goes_left], reach[~goes_left]
+        stack.append((node.left, left_order, depth + 1, left_reach))
+        stack.append((node.right, right_order, depth + 1, right_reach))
     return root
 
 

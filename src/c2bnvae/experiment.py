@@ -354,8 +354,8 @@ def _slug(name: str) -> str:
 # the rows a forked helper process runs end to end, in this order, while
 # the parent runs the others; after them the helper claims evaluation
 # stages (tree, predict, report) from the sets the parent offers. The
-# C2BNVAE row goes first, so that the small Original tree, not the large
-# generated one, is the helper's last own stage before it claims.
+# C2BNVAE row goes first, so that the Original tree, on the fewest rows,
+# not the generated one, is the helper's last own stage before it claims.
 # The tracer rule: a tracer records only in the parent, so work may leave
 # the parent only if the parent still makes every call that work makes.
 # These two rows keep it: the CVAE row trains, generates and calls
@@ -377,12 +377,14 @@ class _Balanced(NamedTuple):
 
 class _RowResult(NamedTuple):
     """A row that ran: what ``_write_row`` needs to write its files, and the
-    wall times and process that ``run-all -v`` logs."""
+    wall times, process and tree size that ``run-all -v`` logs."""
     report: EvalReport
     synthetic_per_class: list[int] | None  # None for the original data
     balanced: EncodedDataset | None  # kept only when the config saves it
     balance_s: float
     evaluate_s: float
+    tree_nodes: int  # the tree as grown for the test split
+    tree_depth: int
     evaluated_in: str = "parent"  # or "helper"
 
 
@@ -401,15 +403,18 @@ def _balance(name: str, config: ExperimentConfig, train_set: EncodedDataset) -> 
 def _evaluate(stage: _Balanced, config: ExperimentConfig,
               test_set: EncodedDataset) -> _RowResult:
     """The evaluation stage: fit the tree on a balance stage's set, predict
-    the test split and evaluate; writes nothing under ``results/``."""
+    the test split and evaluate; writes nothing under ``results/``. The
+    tree grows only the nodes that test rows reach, which predict the test
+    split as the full tree does."""
     start = time.perf_counter()
-    tree = dtree.fit(stage.dataset.features, stage.dataset.labels, config.tree_params())
+    tree = dtree.fit(stage.dataset.features, stage.dataset.labels, config.tree_params(),
+                     test_set.features)
     cm = confusion(test_set.labels, dtree.predict(tree, test_set.features),
                    NUM_CATEGORIES)
     keep = stage.synthetic_per_class is not None and config.save_balanced
     return _RowResult(EvalReport.from_confusion(stage.name, cm), stage.synthetic_per_class,
                       stage.dataset if keep else None, stage.seconds,
-                      time.perf_counter() - start)
+                      time.perf_counter() - start, tree.node_count(), tree.depth())
 
 
 def _claim(path: str, stage: _Balanced, claimant: str) -> _Balanced | None:
@@ -636,8 +641,10 @@ def _write_row_outcome(name: str, outcome: _RowResult | Exception,
     files failed, its failure text, its files (stale ones included) removed
     and its one warning logged."""
     if isinstance(outcome, _RowResult):
-        logger.info("%s: balanced in %.3f s, evaluated in the %s in %.3f s", name,
-                    outcome.balance_s, outcome.evaluated_in, outcome.evaluate_s)
+        logger.info("%s: balanced in %.3f s, evaluated in the %s in %.3f s "
+                    "(tree: %d nodes, depth %d)", name, outcome.balance_s,
+                    outcome.evaluated_in, outcome.evaluate_s, outcome.tree_nodes,
+                    outcome.tree_depth)
         try:
             _write_row(name, outcome, config)
             return outcome.report
@@ -667,8 +674,8 @@ def run_all(config: ExperimentConfig) -> list[tuple[str, EvalReport | str]]:
     helper fails, the parent reruns every row it did not get back, reusing
     the checkpoints finished by then. Every file under ``results/`` is
     written afterwards, in ``ROWS`` order, by the parent alone; at -v, one
-    INFO line per row gives its stages' wall times and the process that
-    evaluated it.
+    INFO line per row gives its stages' wall times, the process that
+    evaluated it and the size of its tree.
     """
     train_set, test_set = load_encoded(config)
     config.results_dir().mkdir(parents=True, exist_ok=True)

@@ -3,10 +3,14 @@
 This is the straightforward form of ``c2bnvae.dtree``'s search, kept only
 as a test oracle. Every node re-sorts every column, which is slow but
 obviously correct; ``c2bnvae.dtree.fit`` presorts once per tree and must
-grow exactly the same trees (compare with ``export_text``).
+grow exactly the same trees (compare with ``export_text``). Given query
+rows, ``fit`` must grow the full tree with every node that no query row
+reaches cut back to a leaf: ``prune_unreached``.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -85,3 +89,22 @@ def reference_fit(features, labels, params: TreeParams | None = None) -> TreeNod
         stack.append((node.left, left_idx, depth + 1))
         stack.append((node.right, right_idx, depth + 1))
     return root
+
+
+def prune_unreached(tree: TreeNode, queries) -> TreeNode:
+    """A copy of ``tree`` in which every node that no row of ``queries``
+    reaches (value <= threshold goes left) is a leaf."""
+    queries = np.asarray(queries, dtype=np.float64)
+    pruned = copy.deepcopy(tree)
+    stack = [(pruned, np.arange(len(queries)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            continue
+        if idx.size == 0:
+            node.feature = node.threshold = node.left = node.right = None
+            continue
+        go_left = queries[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return pruned

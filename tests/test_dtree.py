@@ -115,6 +115,13 @@ class TestFit:
         with pytest.raises(DataError, match="finite"):
             fit(features, np.array([0, 1, 0, 1]))
 
+    def test_tree_deeper_than_the_recursion_limit_reports_its_size(self):
+        # alternating labels along one column: each split peels off one row
+        n = 2400
+        tree = fit(np.arange(float(n))[:, None], np.arange(n) % 2)
+        assert tree.depth() == n - 1
+        assert tree.node_count() == 2 * n - 1
+
     def test_leaf_tie_predicts_lowest_class(self):
         features = np.array([[1.0], [1.0]])
         labels = np.array([0, 1])  # inseparable: single leaf with a tie

@@ -307,10 +307,10 @@ original = len(load_encoded(ExperimentConfig.from_json_file(sys.argv[1]))[0])
 real_fit = dtree.fit
 
 
-def fit(features, labels, params):
+def fit(features, labels, *rest):
     if len(labels) == original:  # every balancing row adds rows
         raise ValueError("tree broke")
-    return real_fit(features, labels, params)
+    return real_fit(features, labels, *rest)
 
 
 dtree.fit = fit
@@ -605,7 +605,8 @@ os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(main(["-v", "run-all", "--config", sys.argv[1]]))
 """
 ROW_LINE = re.compile(r"INFO c2bnvae\.experiment: (.+): balanced in \d+\.\d{3} s, "
-                      r"evaluated in the (parent|helper) in \d+\.\d{3} s")
+                      r"evaluated in the (parent|helper) in \d+\.\d{3} s "
+                      r"\(tree: (\d+) nodes, depth (\d+)\)")
 
 
 def test_verbose_run_logs_each_row_and_writes_the_same_results(corpus_files, tmp_path,
@@ -621,15 +622,44 @@ def test_verbose_run_logs_each_row_and_writes_the_same_results(corpus_files, tmp
     logged = [match.groups() for match in map(ROW_LINE.fullmatch, done.stderr.splitlines())
               if match]
     # one line per row, in ROWS order, naming the process that evaluated it
-    assert [name for name, _ in logged] == list(experiment.ROWS)
-    processes = dict(logged)
+    assert [name for name, *_ in logged] == list(experiment.ROWS)
+    processes = {name: process for name, process, *_ in logged}
     assert [processes[name] for name in experiment.HELPER_ROWS] == ["helper", "helper"]
     assert processes[PARENT_LAST] == "parent"
-    # the wall times went to the log alone
+    # and the size of its tree, as grown for the test split
+    sizes = {name: (int(nodes), int(depth)) for name, _, nodes, depth in logged}
+    for nodes, depth in sizes.values():
+        assert nodes % 2 == 1 and 2 * depth + 1 <= nodes < 2 ** (depth + 1)
+        assert depth <= config.max_depth
+    train_set, test_set = experiment.load_encoded(config)
+    tree = dtree.fit(train_set.features, train_set.labels, config.tree_params(),
+                     test_set.features)
+    assert sizes["Original imbalanced Data"] == (tree.node_count(), tree.depth())
+    # the wall times and tree sizes went to the log alone
     results = {name: raw for name, raw in artifacts(config.out_dir).items()
                if name.startswith("results/")}
     assert results == {name: raw for name, raw in inline[1].items()
                        if name.startswith("results/")}
+
+
+def test_trees_grown_for_the_test_split_write_the_full_trees_results(corpus_files, tmp_path,
+                                                                      monkeypatch, inline):
+    grown, full = [], []
+    real_fit = dtree.fit
+
+    def fit(features, labels, params, queries):  # every tree grown in full
+        assert queries is not None
+        grown.append(real_fit(features, labels, params, queries).node_count())
+        tree = real_fit(features, labels, params)
+        full.append(tree.node_count())
+        return tree
+
+    monkeypatch.setattr(dtree, "fit", fit)
+    config = make_config(corpus_files, tmp_path / "full")
+    assert run(config, 1, monkeypatch) == inline[0]
+    assert artifacts(config.out_dir) == inline[1]
+    # the inline run's trees skipped nodes no test row reaches
+    assert len(full) == len(experiment.ROWS) and sum(grown) < sum(full)
 
 
 def test_no_process_outlives_run_all(corpus_files, tmp_path, monkeypatch):
